@@ -105,14 +105,15 @@ class KernelBase:
     def destroy_process(self, proc: OSProcess) -> None:
         """Tear a process down: unmap everything, free the frames it owns.
 
-        Frames outside this kernel's partition (cross-enclave attachment
-        mappings) are unmapped but NOT freed — they belong to their
-        exporting enclave.
+        Attachment frames are unmapped but NOT freed — they belong to the
+        exporting process: frames outside this kernel's partition
+        (cross-enclave attachments) and the borrowed frames behind a
+        same-kernel attachment (``backing_pfns``).
         """
         self._own_process(proc)
         for region in list(proc.aspace.regions):
             pfns = proc.aspace.unmap_populated_pages(region)
-            if len(pfns):
+            if len(pfns) and region.backing_pfns is None:
                 own = pfns[self.owns_pfn_mask(pfns)]
                 if len(own):
                     self.free_pfns(own)

@@ -41,8 +41,7 @@ class XememOverload(XememError):
     module's own retry loop) can back off without guessing.
 
     Only raised while overload protection is armed
-    (:func:`repro.xemem.overload.arm_overload`); the unarmed module is
-    byte-identical to the pre-overload code."""
+    (:func:`repro.xemem.overload.arm_overload`)."""
 
     def __init__(self, message: str, retry_after_ns: int = 0,
                  verdict: str = "reject"):

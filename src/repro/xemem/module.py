@@ -84,10 +84,6 @@ class XememModule:
         #: set by PiscesManager.crash_enclave; a crashed module drops all
         #: traffic and never raises out of handlers
         self.crashed = False
-        #: explicit per-module request policy override (tests); None means
-        #: "use the armed fault plan's policy, or park forever when none"
-        self.request_timeout_ns: Optional[int] = None
-        self.max_request_retries = 4
         #: req_id -> completed response (idempotent replay of retried
         #: commands); only populated while a non-empty fault plan is armed
         self._served_responses: "OrderedDict[str, KernelMessage]" = OrderedDict()
@@ -185,15 +181,19 @@ class XememModule:
         except (RoutingError, ChannelClosedError, XememError):
             obs.get().counter("xemem.msgs.undeliverable").inc()
 
-    def _request_policy(self):
-        """(deadline_ns, max_retries, backoff) — (None, 0, 1) = park forever."""
-        if self.request_timeout_ns is not None:
-            return self.request_timeout_ns, self.max_request_retries, 2
+    def _request_policy(self, ov: Optional["OV.ModuleOverload"]):
+        """(deadline_ns, retries, backoff) for one request.
+
+        An armed, non-empty fault plan bounds every attempt by its
+        deadline with exponential backoff. Without one the wait parks on
+        the reply with no timer: the far side always answers, so a retry
+        only ever follows an overload rejection (``ov`` armed).
+        """
         injector = self.engine.faults
         if injector is not None and injector.active:
             plan = injector.plan
             return plan.request_timeout_ns, plan.max_retries, plan.backoff_factor
-        return None, 0, 1
+        return None, 0 if ov is None else ov.cfg.max_client_retries, 1
 
     @staticmethod
     def _check_response(resp: KernelMessage) -> KernelMessage:
@@ -212,150 +212,119 @@ class XememModule:
         return resp
 
     def _request(self, msg: KernelMessage):
-        """Generator: send and wait for the correlated response.
-
-        Returns the response message; raises :class:`XememError` if the
-        response carries an error field. With a fault plan armed (or an
-        explicit ``request_timeout_ns``) the wait is bounded: the request
-        is retried under exponential backoff and raises
-        :class:`XememTimeout` when the budget is exhausted. Retries reuse
-        the req_id, so receivers can deduplicate replays.
-        """
-        req_id = msg.payload["req_id"]
-        if self.overload is not None:
-            result = yield from self._request_protected(msg, self.overload)
-            return result
-        deadline_ns, max_retries, backoff = self._request_policy()
-        if deadline_ns is None:
-            # Fault-free baseline: park on the response event with no
-            # timer. This path is byte-identical to the pre-fault code.
-            event = self.engine.event(name=f"req:{req_id}")
-            self._pending[req_id] = event
-            yield from self._send(msg)
-            resp: KernelMessage = yield event
-            return self._check_response(resp)
-        o = obs.get()
-        for attempt in range(max_retries + 1):
-            event = self.engine.event(name=f"req:{req_id}#{attempt}")
-            self._pending[req_id] = event
-            if attempt:
-                o.counter("xemem.req.retries").inc()
-            try:
-                yield from self._send(msg)
-            except (RoutingError, ChannelClosedError) as err:
-                if self._pending.get(req_id) is event:
-                    del self._pending[req_id]
-                raise XememError(
-                    f"cannot deliver {msg.kind} from {self.enclave.name!r}: {err}"
-                )
-            which, value = yield self.engine.any_of(
-                [event, self.engine.sleep(deadline_ns)]
-            )
-            if which == 0:
-                return self._check_response(value)
-            if self._pending.get(req_id) is event:
-                del self._pending[req_id]
-            o.counter("xemem.req.timeouts").inc()
-            deadline_ns *= backoff
-        raise XememTimeout(
-            f"{msg.kind} {req_id} unanswered after {max_retries + 1} attempt(s)"
+        """The request loop for ``msg``, routed: ``yield from`` it for the
+        checked response (returned, not wrapped, to save a frame on the
+        hot path)."""
+        return self._await_reply(
+            self._send, msg, self._pending, msg.payload["req_id"], msg.kind,
+            self.overload,
         )
 
-    def _request_protected(self, msg: KernelMessage, ov: "OV.ModuleOverload"):
-        """Generator: :meth:`_request` with backpressure honored.
+    def _await_reply(self, send, arg, pending: Dict[str, object],
+                     key: Optional[str], what: str,
+                     ov: Optional["OV.ModuleOverload"] = None):
+        """Generator: the one request loop — send, wait for the
+        correlated reply, retry per :meth:`_request_policy`.
 
-        Replaces unbounded exponential backoff with (a) a per-destination
-        circuit breaker that fails fast while the far side is *silent*
-        (consecutive timeouts — an overload rejection is a healthy, fast
-        answer and never trips it), (b) a per-module retry *budget*
-        charged to timeout-driven retries only, so unpaced storms cannot
-        amplify an overloaded server — retry-after retries are paced by
-        the server itself and ride free, and (c) seeded backoff jitter
-        and retry-after-hint waits drawn from the module's overload RNG
-        stream (never module-level ``random`` — REP002)."""
-        req_id = msg.payload["req_id"]
-        o = obs.get()
-        dst = msg.payload.get("dst")
-        dst_key = "ns" if dst is None else f"e{dst}"
-        breaker = ov.breaker_for(dst_key)
-        if not breaker.allow():
-            raise XememOverload(
-                f"{msg.kind} {req_id}: circuit open to {dst_key}",
-                retry_after_ns=breaker.retry_after_ns(),
-                verdict="breaker-open",
-            )
-        deadline_ns, max_retries, backoff = self._request_policy()
-        attempts = (max_retries if deadline_ns is not None
-                    else ov.cfg.max_client_retries)
+        Each attempt parks an event at ``pending[key]`` and runs
+        ``send(arg)``; the handler of the reply pops and triggers it.
+        Retries reuse ``key`` so receivers can deduplicate replays; with
+        ``key=None`` every attempt draws a fresh key and passes it as the
+        send step's argument instead (discovery broadcasts, whose late
+        acks must not answer a newer attempt). Raises the reply's error
+        (:meth:`_check_response`), :class:`XememTimeout` when every
+        attempt timed out, and :class:`XememError` when ``send`` finds no
+        route.
+
+        With ``ov`` (the module's armed overload state) backpressure is
+        honored: (a) a per-destination circuit breaker fails fast while
+        the far side is *silent* (consecutive timeouts — an overload
+        rejection is a healthy, fast answer and never trips it), (b) a
+        per-module retry *budget* is charged to timeout-driven retries
+        only, so unpaced storms cannot amplify an overloaded server —
+        retry-after retries are paced by the server itself and ride
+        free, and (c) seeded backoff jitter and retry-after-hint waits
+        are drawn from the module's overload RNG stream (never
+        module-level ``random`` — REP002).
+        """
+        deadline_ns, retries, backoff = self._request_policy(ov)
+        breaker = None
+        if ov is not None:
+            dst = arg.payload.get("dst")
+            dst_key = "ns" if dst is None else f"e{dst}"
+            breaker = ov.breaker_for(dst_key)
+            if not breaker.allow():
+                raise XememOverload(
+                    f"{what} {key}: circuit open to {dst_key}",
+                    retry_after_ns=breaker.retry_after_ns(),
+                    verdict="breaker-open",
+                )
+        fresh_keys = key is None
         last_overload: Optional[XememOverload] = None
-        for attempt in range(attempts + 1):
-            event = self.engine.event(name=f"req:{req_id}#{attempt}")
-            self._pending[req_id] = event
+        for attempt in range(retries + 1):
+            if fresh_keys:
+                key = arg = self._next_req_id()
+            event = self.engine.event(name=f"{what}:{key}#{attempt}")
+            pending[key] = event
             try:
-                yield from self._send(msg)
+                yield from send(arg)
             except (RoutingError, ChannelClosedError) as err:
-                if self._pending.get(req_id) is event:
-                    del self._pending[req_id]
+                if pending.get(key) is event:
+                    del pending[key]
                 raise XememError(
-                    f"cannot deliver {msg.kind} from {self.enclave.name!r}: {err}"
+                    f"cannot deliver {what} from {self.enclave.name!r}: {err}"
                 )
             if deadline_ns is None:
-                # no fault plan: the server always answers — with a result
-                # or an overload rejection — so no timer is needed
-                resp: KernelMessage = yield event
+                resp = yield event
             else:
-                which, value = yield self.engine.any_of(
+                which, resp = yield self.engine.any_of(
                     [event, self.engine.sleep(deadline_ns)]
                 )
                 if which != 0:
-                    if self._pending.get(req_id) is event:
-                        del self._pending[req_id]
+                    if pending.get(key) is event:
+                        del pending[key]
+                    o = obs.get()
                     o.counter("xemem.req.timeouts").inc()
-                    breaker.record_failure()
-                    if attempt < attempts:
+                    if breaker is not None:
+                        breaker.record_failure()
+                    if attempt < retries:
                         # the unpaced kind of retry: charge the budget
-                        if not ov.budget.try_spend():
+                        if ov is not None and not ov.budget.try_spend():
                             raise XememOverload(
-                                f"{msg.kind} {req_id}: retry budget exhausted",
+                                f"{what} {key}: retry budget exhausted",
                                 retry_after_ns=ov.cfg.retry_budget_window_ns,
                                 verdict="budget-exhausted",
                             )
                         o.counter("xemem.req.retries").inc()
                         deadline_ns *= backoff
-                        jitter = ov.jitter_ns()
-                        if jitter:
-                            yield self.engine.sleep(jitter)
+                        if ov is not None:
+                            jitter = ov.jitter_ns()
+                            if jitter:
+                                yield self.engine.sleep(jitter)
                     continue
-                resp = value
-            try:
-                result = self._check_response(resp)
-            except XememOverload as err:
-                # a rejection is the far side answering promptly — proof
-                # of liveness, not breaker fodder; honor its pacing
+            if breaker is not None:
+                # any answer — even a rejection or an application error —
+                # proves the far side live: never breaker fodder
                 breaker.record_success()
-                o.counter("xemem.req.backpressured").inc()
+            try:
+                return self._check_response(resp)
+            except XememOverload as err:
+                if ov is None:
+                    raise
+                # honor the rejection's pacing
+                obs.get().counter("xemem.req.backpressured").inc()
                 last_overload = err
-                if attempt < attempts:
+                if attempt < retries:
                     wait = err.retry_after_ns + ov.jitter_ns()
                     if wait:
                         yield self.engine.sleep(wait)
-                continue
-            except XememError:
-                # an application-level error is still a healthy answer
-                breaker.record_success()
-                raise
-            breaker.record_success()
-            return result
         if last_overload is not None:
             raise XememOverload(
-                f"{msg.kind} {req_id}: still overloaded after "
-                f"{attempts + 1} attempt(s)",
+                f"{what} {key}: still overloaded after {retries + 1} attempt(s)",
                 retry_after_ns=last_overload.retry_after_ns,
                 verdict=last_overload.verdict,
             )
-        raise XememTimeout(
-            f"{msg.kind} {req_id} unanswered after {attempts + 1} attempt(s)"
-        )
+        raise XememTimeout(f"{what} {key} unanswered after {retries + 1} attempt(s)")
 
     # ----------------------------------------------------------------- discovery
 
@@ -366,96 +335,30 @@ class XememModule:
         return result
 
     def _discover(self):
-        deadline_ns, max_retries, backoff = self._request_policy()
-        if deadline_ns is None:
-            # Fault-free baseline (byte-identical to the pre-fault code):
-            # (1) broadcast: find a channel with a path to the name server
-            token = self._next_req_id()
-            event = self.engine.event(name=f"ping:{token}")
-            self._ping_pending[token] = event
-            for channel in self.enclave.channels:
-                self._spawn_send_on(
-                    channel, C.make_command(C.PING_NS_PATH, None, None, token=token)
-                )
-            first_channel: Channel = yield event
-        else:
-            first_channel = yield from self._discover_ping(
-                deadline_ns, max_retries, backoff
-            )
-        self.routing.ns_channel = first_channel
-        # (2) request an enclave ID through that channel
+        # (1) broadcast: find a channel with a path to the name server
+        ack = yield from self._await_reply(
+            self._broadcast_ping, None, self._ping_pending, None, C.PING_NS_PATH
+        )
+        self.routing.ns_channel = ack.payload["via"]
+        # (2) request an enclave ID through that channel; (3) forwarders
+        # learn the route as the assignment flows back
         req_id = self._next_req_id()
-        if deadline_ns is None:
-            event = self.engine.event(name=f"req:{req_id}")
-            self._pending[req_id] = event
-            yield from first_channel.send(
-                self.enclave,
-                C.make_command(C.ALLOC_ENCLAVE_ID, None, None, req_id=req_id),
-            )
-            resp: KernelMessage = yield event
-        else:
-            resp = yield from self._discover_alloc(
-                first_channel, req_id, deadline_ns, max_retries, backoff
-            )
+        resp = yield from self._await_reply(
+            self._send, C.make_command(C.ALLOC_ENCLAVE_ID, None, None, req_id=req_id),
+            self._pending, req_id, C.ALLOC_ENCLAVE_ID,
+        )
         self.enclave.enclave_id = resp.payload["enclave_id"]
         self.routing.discovered = True
         return self.enclave.enclave_id
 
-    def _discover_ping(self, deadline_ns: int, max_retries: int, backoff: int):
-        """Bounded discovery step 1: re-broadcast the ping until acked.
-
-        Each attempt uses a fresh token, so a late ack for an abandoned
-        broadcast is dropped as stray rather than racing a newer one.
-        """
-        o = obs.get()
-        for attempt in range(max_retries + 1):
-            token = self._next_req_id()
-            event = self.engine.event(name=f"ping:{token}")
-            self._ping_pending[token] = event
-            for channel in self.enclave.channels:
-                self._spawn_send_on(
-                    channel, C.make_command(C.PING_NS_PATH, None, None, token=token)
-                )
-            which, value = yield self.engine.any_of(
-                [event, self.engine.sleep(deadline_ns)]
+    def _broadcast_ping(self, token: str):
+        """Send step of discovery (1): ping every channel at once."""
+        for channel in self.enclave.channels:
+            self._spawn_send_on(
+                channel, C.make_command(C.PING_NS_PATH, None, None, token=token)
             )
-            if which == 0:
-                return value
-            self._ping_pending.pop(token, None)
-            o.counter("xemem.req.timeouts").inc()
-            deadline_ns *= backoff
-        raise XememTimeout(
-            f"enclave {self.enclave.name!r} found no name-server path after "
-            f"{max_retries + 1} broadcast(s)"
-        )
-
-    def _discover_alloc(self, channel: Channel, req_id: str, deadline_ns: int,
-                        max_retries: int, backoff: int):
-        """Bounded discovery step 2. The req_id is stable across retries so
-        forwarders and the name server can deduplicate replays."""
-        o = obs.get()
-        for attempt in range(max_retries + 1):
-            event = self.engine.event(name=f"req:{req_id}#{attempt}")
-            self._pending[req_id] = event
-            if attempt:
-                o.counter("xemem.req.retries").inc()
-            yield from channel.send(
-                self.enclave,
-                C.make_command(C.ALLOC_ENCLAVE_ID, None, None, req_id=req_id),
-            )
-            which, value = yield self.engine.any_of(
-                [event, self.engine.sleep(deadline_ns)]
-            )
-            if which == 0:
-                return value
-            if self._pending.get(req_id) is event:
-                del self._pending[req_id]
-            o.counter("xemem.req.timeouts").inc()
-            deadline_ns *= backoff
-        raise XememTimeout(
-            f"enclave-id allocation {req_id} unanswered after "
-            f"{max_retries + 1} attempt(s)"
-        )
+        return
+        yield  # pragma: no cover - a generator, like every send step
 
     def _spawn_send_on(self, channel: Channel, msg: KernelMessage) -> None:
         self.engine.spawn(
@@ -490,41 +393,35 @@ class XememModule:
                 # abandoned) broadcast: drop, don't raise
                 obs.get().counter("xemem.msgs.stray_dropped").inc()
                 return
-            event.trigger(channel)
+            # the channel the ack arrived on is this enclave's path to
+            # the name server
+            msg.payload["via"] = channel
+            event.trigger(msg)
             return
         if kind == C.ALLOC_ENCLAVE_ID:
             req_id = msg.payload["req_id"]
-            if self.is_name_server:
-                if self._ns_down_until > self.engine.now:
-                    obs.get().counter("faults.ns.dropped_while_down").inc()
-                    return
-                cached = self._served_responses.get(req_id)
-                if cached is not None:
-                    # retried allocation: replay the assignment instead of
-                    # burning a second enclave ID
-                    obs.get().counter("xemem.msgs.replayed").inc()
-                    yield from channel.send(
-                        self.enclave,
-                        KernelMessage(kind=cached.kind,
-                                      payload=dict(cached.payload)),
-                    )
-                    return
-                if req_id in self._in_service:
-                    obs.get().counter("xemem.msgs.dup_in_service").inc()
-                    return
-                if self._request_dedup_active():
-                    self._in_service.add(req_id)
-                new_id = self.nameserver.alloc_enclave_id()
-                self.routing.learn(new_id, channel)
-                assigned = C.make_command(
-                    C.ENCLAVE_ID_ASSIGNED, self.my_id, None,
-                    req_id=req_id, enclave_id=new_id,
-                )
-                self._record_response(req_id, assigned)
-                yield from channel.send(self.enclave, assigned)
-            else:
+            if not self.is_name_server:
                 self._forwarded[req_id] = channel
                 yield from self._send(msg)
+                return
+            if self._ns_down_until > self.engine.now:
+                obs.get().counter("faults.ns.dropped_while_down").inc()
+                return
+            # a retried allocation replays its assignment instead of
+            # burning a second enclave ID; with no routes yet, the replay
+            # goes back over the channel the request arrived on
+            if self._maybe_replay(
+                msg, reply=lambda resp: self._spawn_send_on(channel, resp)
+            ):
+                return
+            new_id = self.nameserver.alloc_enclave_id()
+            self.routing.learn(new_id, channel)
+            assigned = C.make_command(
+                C.ENCLAVE_ID_ASSIGNED, self.my_id, None,
+                req_id=req_id, enclave_id=new_id,
+            )
+            self._record_response(req_id, assigned)
+            yield from channel.send(self.enclave, assigned)
             return
         if kind == C.ENCLAVE_ID_ASSIGNED:
             req_id = msg.payload["req_id"]
@@ -568,14 +465,16 @@ class XememModule:
             event.trigger(msg)
             return
         if self.overload is not None and kind not in C.ONE_WAY:
-            yield from self._serve_admitted(msg, self.overload)
+            yield from self._admitted(self._serve, msg, self.overload)
             return
         yield from self._serve(msg)
 
     # -- overload admission (armed only) -----------------------------------
 
-    def _serve_admitted(self, msg: KernelMessage, ov: "OV.ModuleOverload"):
-        """Owner-side serving behind the bounded admission queue."""
+    def _admitted(self, serve, msg: KernelMessage, ov: "OV.ModuleOverload"):
+        """Generator: run ``serve(msg)`` behind the bounded admission
+        queue — the one gate in front of owner serving and name-server
+        dispatch. A refused request is answered with backpressure."""
         try:
             verdict = yield from ov.controller.admit(msg.kind)
         except XememError:
@@ -586,7 +485,7 @@ class XememModule:
             self._reject_overloaded(msg, verdict, ov)
             return
         try:
-            yield from self._serve(msg)
+            yield from serve(msg)
         finally:
             ov.controller.release()
 
@@ -614,10 +513,11 @@ class XememModule:
         injector = self.engine.faults
         return injector is not None and injector.active
 
-    def _maybe_replay(self, msg: KernelMessage) -> bool:
+    def _maybe_replay(self, msg: KernelMessage, reply=None) -> bool:
         """True if ``msg`` is a duplicate of a served/in-flight request.
 
-        A cached response is re-sent (idempotent replay); a duplicate of a
+        A cached response is re-sent through ``reply`` (default: routed,
+        :meth:`_spawn_send`) as an idempotent replay; a duplicate of a
         request still in service is suppressed — the original's response
         will answer both, since they share a req_id.
         """
@@ -629,7 +529,7 @@ class XememModule:
         cached = self._served_responses.get(req_id)
         if cached is not None:
             obs.get().counter("xemem.msgs.replayed").inc()
-            self._spawn_send(
+            (reply or self._spawn_send)(
                 KernelMessage(kind=cached.kind, payload=dict(cached.payload),
                               pfns=cached.pfns)
             )
@@ -724,13 +624,15 @@ class XememModule:
         with obs.get().span("xemem.ns.handle", self.engine,
                             track=self.enclave.name, kind=kind,
                             req_id=msg.payload.get("req_id")):
-            if self.overload is not None:
-                yield from self._dispatch_protected(msg, self.overload)
-            else:
+            ov = self.overload
+            if ov is None:
                 yield from self._dispatch_at_name_server(msg)
+            elif not self._shed_by_ladder(msg, ov):
+                yield from self._admitted(self._dispatch_at_name_server, msg, ov)
 
-    def _dispatch_protected(self, msg: KernelMessage, ov: "OV.ModuleOverload"):
-        """NS dispatch behind admission control + the degradation ladder.
+    def _shed_by_ladder(self, msg: KernelMessage, ov: "OV.ModuleOverload") -> bool:
+        """True when the NS degradation ladder answered ``msg`` ahead of
+        admission control.
 
         Ladder (docs/OVERLOAD.md): level 1 — discovery (lookup/list)
         sheds before attach; lookups may still be answered from a
@@ -752,22 +654,11 @@ class XememModule:
                     self._spawn_send(C.make_response(
                         msg, self.my_id, segid=cached[0], stale=True,
                     ))
-                    return
+                    return True
             ov.controller.count_shed_direct()
             self._reject_overloaded(msg, OV.SHED, ov)
-            return
-        try:
-            verdict = yield from ov.controller.admit(kind)
-        except XememError:
-            obs.get().counter("overload.aborted").inc()
-            return
-        if verdict != OV.SERVE:
-            self._reject_overloaded(msg, verdict, ov)
-            return
-        try:
-            yield from self._dispatch_at_name_server(msg)
-        finally:
-            ov.controller.release()
+            return True
+        return False
 
     def _dispatch_at_name_server(self, msg: KernelMessage):
         ns = self.nameserver
@@ -1089,14 +980,7 @@ class XememModule:
             # The grant was invalidated (its owner enclave crashed) while
             # we were mapping: tear the half-made attachment back down
             # instead of registering a mapping into dead memory.
-            attached.detached = True
-            if attached.region is not None:
-                aspace = proc.aspace
-                if attached.region in aspace.regions:
-                    if attached.region.populated == attached.region.npages:
-                        aspace.unmap_region(attached.region)
-                    else:
-                        aspace.unmap_populated_pages(attached.region)
+            self._unmap_now(attached)
             raise XememError(
                 f"{grant.apid!r} invalidated while attaching (owner crashed)"
             )
@@ -1330,35 +1214,8 @@ class XememModule:
         if force:
             # Outstanding waiters (signal waits, in-flight requests) would
             # otherwise hang forever against a departed enclave.
-            err = XememError(f"enclave {self.enclave.name!r} departed")
-            for cell in self._signal_state.values():
-                waiters, cell[1] = cell[1], []
-                for event in waiters:
-                    if not event.triggered:
-                        event.fail(err)
-            for pending in (self._pending, self._ping_pending):
-                events = list(pending.values())
-                pending.clear()
-                for event in events:
-                    if not event.triggered:
-                        event.fail(err)
-            if self.overload is not None:
-                self.overload.fail_all(err)
-        # Drop *all* per-registration state, not just the segments: stale
-        # grants, attachment refcounts, and signal subscriptions must not
-        # survive into a later re-join of the same enclave.
-        self.segments.clear()
-        self.grants.clear()
-        self._live_attachments.clear()
-        self._attachments_by_apid.clear()
-        self._smartmap_refs.clear()
-        self._signal_subs.clear()
-        self._signal_state.clear()
-        self._forwarded.clear()
-        self._served_responses.clear()
-        self._in_service.clear()
-        self._apid_counter = itertools.count(1)
-        self.routing.discovered = False
+            self._fail_waiters(f"enclave {self.enclave.name!r} departed")
+        self._drop_registration()
         return True
 
     def crash(self) -> None:
@@ -1380,20 +1237,32 @@ class XememModule:
                 segments=len(self.segments),
                 live_attachments=len(self._live_attachments),
             )
-        err = XememError(f"enclave {self.enclave.name!r} crashed")
-        for cell in self._signal_state.values():
-            waiters, cell[1] = cell[1], []
-            for event in waiters:
-                if not event.triggered:
-                    event.fail(err)
+        self._fail_waiters(f"enclave {self.enclave.name!r} crashed")
+        self._drop_registration()
+        self.routing.routes.clear()
+        self.routing.ns_channel = None
+        obs.get().counter("faults.modules.crashed").inc()
+
+    def _fail_waiters(self, reason: str) -> None:
+        """Fail every parked waiter — signal waits, pending requests and
+        pings, queued admissions — with one :class:`XememError`."""
+        err = XememError(reason)
+        waiters = [event for cell in self._signal_state.values()
+                   for event in cell[1]]
+        self._signal_state.clear()
         for pending in (self._pending, self._ping_pending):
-            events = list(pending.values())
+            waiters.extend(pending.values())
             pending.clear()
-            for event in events:
-                if not event.triggered:
-                    event.fail(err)
+        for event in waiters:
+            if not event.triggered:
+                event.fail(err)
         if self.overload is not None:
             self.overload.fail_all(err)
+
+    def _drop_registration(self) -> None:
+        """Drop *all* per-registration state, not just the segments: stale
+        grants, attachment refcounts, signal subscriptions and replay
+        caches must not survive into a later re-join of the enclave."""
         self.segments.clear()
         self.grants.clear()
         self._live_attachments.clear()
@@ -1404,10 +1273,8 @@ class XememModule:
         self._forwarded.clear()
         self._served_responses.clear()
         self._in_service.clear()
-        self.routing.routes.clear()
-        self.routing.ns_channel = None
+        self._apid_counter = itertools.count(1)
         self.routing.discovered = False
-        obs.get().counter("faults.modules.crashed").inc()
 
     def invalidate_dead_segments(self, dead_segids, pfn_window,
                                  crashed_enclave_id: Optional[int] = None) -> int:
@@ -1462,17 +1329,22 @@ class XememModule:
     def _invalidate_attachment(self, att: AttachedRegion) -> None:
         if att.detached:
             return
-        att.detached = True
         live = self._live_attachments.get(int(att.apid), 0)
         if live > 0:
             self._live_attachments[int(att.apid)] = live - 1
-        if att.region is not None:
-            aspace = att.proc.aspace
-            if att.region in aspace.regions:
-                if att.region.populated == att.region.npages:
-                    aspace.unmap_region(att.region)
-                else:
-                    aspace.unmap_populated_pages(att.region)
+        self._unmap_now(att)
+
+    @staticmethod
+    def _unmap_now(att: AttachedRegion) -> None:
+        """Mark ``att`` detached and drop its PTEs synchronously (no
+        protocol cost); the frames are never freed here."""
+        att.detached = True
+        region = att.region
+        if region is not None and region in att.proc.aspace.regions:
+            if region.populated == region.npages:
+                att.proc.aspace.unmap_region(region)
+            else:
+                att.proc.aspace.unmap_populated_pages(region)
 
     def _grant_of(self, proc, apid: ApId) -> ApGrant:
         grant = self.grants.get(int(apid))

@@ -9,7 +9,7 @@ goodput collapses — the classic retry-storm congestion spiral of any
 serving stack.
 
 This module is the protection layer, armed explicitly per rig (default
-off — an unarmed module is byte-identical to the pre-overload code, the
+off — an unarmed module pays one ``None`` check per hook site, the
 same zero-cost contract :mod:`repro.faults` keeps):
 
 * :class:`AdmissionController` — a bounded, virtual-time-aware request

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import obs
 from repro.faults import FaultPlan, arm, disarm
-from repro.xemem import XememTimeout
+from repro.hw.costs import MB
+from repro.xemem import XememModule, XememTimeout
 
 from tests.faults.conftest import build_rig, table1_cycle
 
@@ -61,6 +63,30 @@ def test_delay_slows_but_completes():
     assert rig.engine.faults.counts["msgs_delayed"] > 0
 
 
+def test_hot_add_discovers_under_message_loss():
+    """Discovery's ping and enclave-ID steps retry under a lossy plan.
+
+    Seed 3 loses both ping broadcasts and ID assignments: the late
+    enclave still joins, and the retried allocation is answered from the
+    name server's replay cache instead of burning a second enclave ID.
+    """
+    plan = FaultPlan.parse("drop=0.5,timeout=50us,retries=8", seed=3)
+    rig = build_rig(num_cokernels=1, plan=plan)
+    late = rig.pisces.boot_cokernel(core_ids=[15], mem_bytes=256 * MB,
+                                    zone_id=1, name="late")
+    XememModule(late)
+    with obs.observing(trace=False, metrics=True) as ctx:
+        new_id = rig.system.add_and_discover(late)
+    counter = ctx.metrics.counter
+    assert late.enclave_id == new_id
+    assert late.module.routing.discovered
+    assert counter("xemem.req.timeouts").value > 0
+    assert counter("xemem.msgs.replayed").value > 0
+    assert counter("xemem.ns.enclave_ids").value == 1
+    rig.engine.run()  # abandoned attempts' timers drain cleanly
+    assert rig.engine.queue_len == 0
+
+
 def test_ipi_loss_is_retransmitted():
     plan = FaultPlan.parse("ipiloss=0.5,timeout=50ms,retries=0", seed=0)
     rig = build_rig(plan=plan)
@@ -100,7 +126,7 @@ def test_empty_plan_is_inactive():
     assert not injector.affects_messages and not injector.affects_ipi
     # no deadlines are armed: the module parks forever like the baseline
     module = rig.cokernels[0].module
-    assert module._request_policy() == (None, 0, 1)
+    assert module._request_policy(None) == (None, 0, 1)
     # and no RNG draw ever happened (state equals a fresh seeded RNG)
     import random
 

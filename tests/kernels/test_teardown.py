@@ -87,3 +87,37 @@ def test_munmap_partial_population_frees_only_present(rig):
 
     assert eng.run_process(run()) == 1
     assert linux.allocator.used_frames == used_before
+
+
+def test_destroy_attacher_keeps_same_kernel_exporter_frames():
+    """A same-kernel XEMEM attachment borrows the exporter's frames.
+
+    Destroying the attacher must unmap them without freeing them: they
+    still belong to the exporting process, whose own teardown frees them
+    exactly once.
+    """
+    from repro.xemem import XpmemApi
+    from tests.xemem.conftest import build_system
+
+    rig = build_system(num_cokernels=1)
+    eng, linux = rig["engine"], rig["linux"].kernel
+    used_before = linux.allocator.used_frames
+    exporter = linux.create_process("exp", core_id=1)
+    attacher = linux.create_process("att", core_id=2)
+
+    def run():
+        region = yield from linux.mmap_anonymous(exporter, 64 * PAGE_SIZE)
+        yield from linux.touch_pages(exporter, region.start, 64, write=True)
+        api_e, api_a = XpmemApi(exporter), XpmemApi(attacher)
+        segid = yield from api_e.xpmem_make(region.start, 64 * PAGE_SIZE)
+        apid = yield from api_a.xpmem_get(segid)
+        att = yield from api_a.xpmem_attach(apid)
+        yield from linux.touch_pages(attacher, att.vaddr, 64)
+
+    eng.run_process(run())
+    exported = linux.allocator.used_frames
+    assert exported == used_before + 64
+    linux.destroy_process(attacher)
+    assert linux.allocator.used_frames == exported  # exporter's frames kept
+    linux.destroy_process(exporter)  # no double free
+    assert linux.allocator.used_frames == used_before
