@@ -5,6 +5,9 @@ import pytest
 
 from repro.kernels.base import KernelError
 from repro.kernels.pagetable import PAGE_SIZE
+from repro.xemem import XpmemApi
+
+from tests.xemem.conftest import build_system
 
 
 def test_destroy_kitten_process_frees_static_frames(rig):
@@ -96,9 +99,6 @@ def test_destroy_attacher_keeps_same_kernel_exporter_frames():
     still belong to the exporting process, whose own teardown frees them
     exactly once.
     """
-    from repro.xemem import XpmemApi
-    from tests.xemem.conftest import build_system
-
     rig = build_system(num_cokernels=1)
     eng, linux = rig["engine"], rig["linux"].kernel
     used_before = linux.allocator.used_frames
