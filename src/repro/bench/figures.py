@@ -426,6 +426,8 @@ def fig8_single_node(runs: int = 5,
                     res = rig["workload"].run()
                     if not res.data_marks_verified:
                         raise AssertionError("shared-memory handshake corrupt")
+                    if not res.stream_verified:
+                        raise AssertionError("STREAM triad verification failed")
                     stats.add(res.sim_time_s)
                     samples.append(res.sim_time_s)
                 cells.append(Fig8Cell(name, execution, attach,
@@ -490,6 +492,8 @@ def fig9_multi_node(runs: int = 3,
                     for per_node in res.per_node:
                         if not per_node.data_marks_verified:
                             raise AssertionError("shared-memory handshake corrupt")
+                        if not per_node.stream_verified:
+                            raise AssertionError("STREAM triad verification failed")
                     stats.add(res.completion_s)
                     samples.append(res.completion_s)
                 points.append(Fig9Point(mode, attach, nodes,

@@ -462,6 +462,11 @@ class MappedRegion:
     def read(self, offset: int, length: int) -> bytes:
         """Gather ``length`` bytes starting at ``offset``."""
         self._check(offset, length)
+        page, in_page = divmod(offset, PAGE_4K)
+        if 0 < length <= PAGE_4K - in_page:
+            # Within one frame (control words, marks): no gather needed.
+            frame = self.mem.frame_view(int(self.pfns[page]))
+            return frame[in_page : in_page + length].tobytes()
         out = np.empty(length, dtype=np.uint8)
         pos = 0
         while pos < length:

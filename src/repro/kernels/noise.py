@@ -6,6 +6,18 @@ and occurrence index supplies jitter), so workloads can account for noise
 without simulating millions of tick events, and the Selfish Detour
 benchmark (Fig. 7) can enumerate exact event lists.
 
+Occurrence ``k`` of a :class:`PeriodicNoise` source is a pure function of
+``k``, and starts never decrease with ``k`` (jitter is at most half a
+period). Each source therefore answers queries from a bounded, sliding
+index of its own occurrences — start/duration lists plus duration prefix
+sums, bisected on start — instead of re-deriving every occurrence of
+every window. Virtual time mostly moves forward, so the index extends
+lazily at its head, drops its dead prefix as queries advance, restarts
+when a query jumps past it, and serves a query that falls behind it from
+a throwaway index. Every answer is exactly the one the per-occurrence
+definition gives, including the fixed :meth:`PeriodicNoise.lookback_ns`
+cutoff that bounds how far back a straddling detour is looked for.
+
 Profiles (constants in :class:`~repro.hw.costs.CostModel`):
 
 * **Kitten** — a frequent ≈12 µs hardware baseline plus periodic ≈100 µs
@@ -18,7 +30,9 @@ Profiles (constants in :class:`~repro.hw.costs.CostModel`):
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, islice
+from typing import Callable, List, Tuple
 
 from repro.hw.costs import CostModel
 
@@ -48,16 +62,54 @@ class NoiseSource:
 
     def stolen_in(self, t0: int, t1: int) -> int:
         """Nanoseconds stolen from the app in [t0, t1), clipped to it."""
-        total = 0
-        # Look back one mean period so a detour straddling t0 is counted.
-        for start, dur in self.events_in(max(0, t0 - self.lookback_ns()), t1):
-            lo, hi = max(start, t0), min(start + dur, t1)
-            if hi > lo:
-                total += hi - lo
-        return total
+        raise NotImplementedError
 
-    def lookback_ns(self) -> int:
-        return 0
+
+class _OccurrenceIndex:
+    """Occurrences ``base, base + 1, ...`` of one source, in parallel lists.
+
+    ``cum[i]`` is the summed duration of the entries before ``i`` (up to a
+    constant, so dropping a prefix keeps differences valid). ``dmax``
+    bounds every duration the index ever held: a detour starting at or
+    before ``t - dmax`` has ended by ``t``.
+    """
+
+    __slots__ = ("base", "starts", "durs", "cum", "dmax")
+
+    #: Dead entries (behind every recent query) kept before a trim; a trim
+    #: also waits until they outnumber the live ones, so it is amortized.
+    TRIM_MIN = 512
+
+    def __init__(self, base: int):
+        self.reset(base)
+
+    def reset(self, base: int) -> None:
+        self.base = base
+        self.starts: List[int] = []
+        self.durs: List[int] = []
+        self.cum: List[int] = [0]
+        self.dmax = 0
+
+    def extend(self, k_hi: int,
+               occurrence: Callable[[int], Tuple[int, int]]) -> None:
+        """Derive occurrences up to and including ``k_hi``."""
+        first = self.base + len(self.starts)
+        if k_hi < first:
+            return
+        starts, durs = zip(*map(occurrence, range(first, k_hi + 1)))
+        self.starts.extend(starts)
+        self.durs.extend(durs)
+        self.cum.extend(islice(accumulate(durs, initial=self.cum[-1]), 1, None))
+        self.dmax = max(self.dmax, max(durs))
+
+    def trim(self, k_lo: int) -> None:
+        """Drop entries before ``k_lo`` once enough of them are dead."""
+        dead = k_lo - self.base
+        if dead > self.TRIM_MIN and 2 * dead > len(self.starts):
+            del self.starts[:dead]
+            del self.durs[:dead]
+            del self.cum[:dead]
+            self.base = k_lo
 
 
 class PeriodicNoise(NoiseSource):
@@ -84,6 +136,7 @@ class PeriodicNoise(NoiseSource):
         self.jitter_frac = jitter_frac
         self.exp_duration = exp_duration
         self.phase_ns = phase_ns
+        self._index = _OccurrenceIndex(0)
 
     def _occurrence(self, k: int) -> Tuple[int, int]:
         start = self.phase_ns + k * self.period_ns
@@ -98,20 +151,55 @@ class PeriodicNoise(NoiseSource):
             dur = self.duration_ns
         return max(start, 0), dur
 
+    def _locate(self, t0: int, t1: int) -> Tuple[_OccurrenceIndex, int, int]:
+        """``(index, i, j)``: entries ``i..j-1`` of ``index`` are the
+        occurrences starting in [t0, t1) among ``k_lo..k_hi``, the
+        occurrences that can start there (``t0 < t1``)."""
+        k_lo = max(0, (t0 - self.phase_ns) // self.period_ns - 1)
+        k_hi = (t1 - self.phase_ns) // self.period_ns + 1
+        index = self._index
+        if k_lo < index.base:
+            index = _OccurrenceIndex(k_lo)
+        elif k_lo > index.base + len(index.starts):
+            index.reset(k_lo)
+        else:
+            index.trim(k_lo)
+        index.extend(k_hi, self._occurrence)
+        lo, hi = k_lo - index.base, k_hi - index.base + 1
+        i = bisect_left(index.starts, t0, lo, hi)
+        return index, i, bisect_left(index.starts, t1, i, hi)
+
     def events_in(self, t0: int, t1: int) -> List[Tuple[int, int]]:
         """(start_ns, duration_ns) of occurrences starting in [t0, t1)."""
         if t1 <= t0:
             return []
-        k_lo = max(0, (t0 - self.phase_ns) // self.period_ns - 1)
-        k_hi = (t1 - self.phase_ns) // self.period_ns + 1
-        out = []
-        for k in range(k_lo, k_hi + 1):
-            start, dur = self._occurrence(k)
-            if t0 <= start < t1:
-                out.append((start, dur))
-        return out
+        index, i, j = self._locate(t0, t1)
+        return list(zip(index.starts[i:j], index.durs[i:j]))
+
+    def stolen_in(self, t0: int, t1: int) -> int:
+        """Nanoseconds stolen in [t0, t1): every occurrence starting in
+        [t0 - lookback, t1), clipped to the window."""
+        if t1 <= t0:
+            return 0
+        index, a, b = self._locate(max(0, t0 - self.lookback_ns()), t1)
+        starts, durs, dmax = index.starts, index.durs, index.dmax
+        i = bisect_left(starts, t0, a, b)
+        total = 0
+        # Started before t0: only the part after t0 counts.
+        for n in range(bisect_right(starts, t0 - dmax, a, i), i):
+            end = starts[n] + durs[n]
+            if end > t0:
+                total += min(end, t1) - t0
+        # Started inside: whole durations, less any overhang past t1.
+        total += index.cum[b] - index.cum[i]
+        for n in range(bisect_right(starts, t1 - dmax, i, b), b):
+            over = starts[n] + durs[n] - t1
+            if over > 0:
+                total -= over
+        return total
 
     def lookback_ns(self) -> int:
+        """How far before a window a straddling detour is looked for."""
         # Exponential durations are effectively bounded by ~30 means.
         return (30 if self.exp_duration else 2) * max(self.duration_ns, self.period_ns)
 

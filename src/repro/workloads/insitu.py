@@ -163,6 +163,8 @@ class InSituResult:
     attach_times_s: List[float]
     analytics_faults: int
     data_marks_verified: bool
+    #: STREAM's triad identity held on every analytics pass.
+    stream_verified: bool
     numerics_verified: Optional[bool]
     config: InSituConfig
 
@@ -181,6 +183,7 @@ class InSituWorkload:
         self.iteration_hook = iteration_hook
         self._analytics_streaming = False
         self._marks_ok = True
+        self._stream_ok = True
         self._rng_draw = 0
 
     # -- interference -----------------------------------------------------------
@@ -292,6 +295,7 @@ class InSituWorkload:
                 attached.view, cfg.data_bytes, slowdown=cfg.analytics_slowdown
             )
             self._analytics_streaming = False
+            self._stream_ok = self._stream_ok and sres.verified
             result["stream_times"].append(sres.elapsed_ns / 1e9)
             if cfg.execution == "sync":
                 yield from self._ack(api, ctl_att, ack_segid, point)
@@ -388,6 +392,7 @@ class InSituWorkload:
             attach_times_s=result["attach_times"],
             analytics_faults=result["faults"],
             data_marks_verified=self._marks_ok,
+            stream_verified=self._stream_ok,
             numerics_verified=numerics,
             config=cfg,
         )

@@ -6,6 +6,13 @@ the four kernels (copy, scale, add, triad) for real on a size-capped
 array — asserting the triad identity — while the modeled time covers the
 configured region size: one copy-in at memcpy bandwidth plus the STREAM
 pass's 10 array-sized accesses at STREAM bandwidth.
+
+The real numerics allocate nothing per pass: each :class:`StreamBenchmark`
+owns a private copy-in array and a full-length triad result (so the
+checksum keeps numpy's pairwise summation order), and runs the kernels
+and the verification in cache-sized blocks with ``out=`` ufuncs. The
+arithmetic is elementwise, so every element, the checksum and the
+verdict are bit-identical to the whole-array formulas.
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ STREAM_TRAFFIC_MULTIPLE = 10
 #: Cap on the *real* computation size; the modeled time covers the full
 #: region, the actual numerics run on at most this many float64s.
 REAL_ELEMENTS_CAP = 1 << 18
+
+#: Elements per block of the real kernels (128 KiB of float64: the four
+#: block arrays stay cache-resident).
+BLOCK_ELEMENTS = 1 << 14
 
 SCALAR = 3.0
 
@@ -51,18 +62,46 @@ class StreamBenchmark:
         self.proc = proc
         self.costs = kernel.costs
         self.engine = kernel.engine
+        #: Private copy of the shared prefix, and the triad result.
+        self._a = np.empty(REAL_ELEMENTS_CAP, dtype=np.float64)
+        self._a2 = np.empty(REAL_ELEMENTS_CAP, dtype=np.float64)
+        #: Per-block work arrays: b, c, a temporary, and the expected triad.
+        self._blocks = np.empty((4, BLOCK_ELEMENTS), dtype=np.float64)
 
-    def _real_kernels(self, source: np.ndarray) -> tuple:
-        """Run copy/scale/add/triad for real; returns (checksum, ok)."""
-        a = source.astype(np.float64)
-        if a.size == 0:
+    def _copy_in(self, attached_view) -> np.ndarray:
+        """Gather the capped prefix of the shared region into ``_a``."""
+        take_pages = min(
+            attached_view.npages, max(1, REAL_ELEMENTS_CAP * 8 // 4096)
+        )
+        raw = self._a.view(np.uint8)
+        for i in range(take_pages):
+            raw[i * 4096:(i + 1) * 4096] = attached_view.page_view(i)
+        return self._a[:take_pages * 4096 // 8]
+
+    def _real_kernels(self, a: np.ndarray) -> tuple:
+        """Run copy/scale/add/triad for real over float64 ``a`` (at most
+        ``REAL_ELEMENTS_CAP`` long); returns (checksum, ok)."""
+        n = a.size
+        if n == 0:
             raise ValueError("empty STREAM source")
-        c = a.copy()                      # COPY:  c = a
-        b = SCALAR * c                    # SCALE: b = q*c
-        c = a + b                         # ADD:   c = a + b
-        a2 = b + SCALAR * c               # TRIAD: a = b + q*c
-        expected = SCALAR * a + SCALAR * (a + SCALAR * a)
-        ok = bool(np.allclose(a2, expected))
+        a2 = self._a2[:n]
+        ok = True
+        for lo in range(0, n, BLOCK_ELEMENTS):
+            hi = min(lo + BLOCK_ELEMENTS, n)
+            b, c, t, e = self._blocks[:, :hi - lo]
+            ab = a[lo:hi]
+            np.copyto(c, ab)                    # COPY:  c = a
+            np.multiply(SCALAR, c, out=b)       # SCALE: b = q*c
+            np.add(ab, b, out=c)                # ADD:   c = a + b
+            np.multiply(SCALAR, c, out=t)       # TRIAD: a = b + q*c
+            np.add(b, t, out=a2[lo:hi])
+            # expected = q*a + q*(a + q*a)
+            np.multiply(SCALAR, ab, out=e)
+            np.multiply(SCALAR, ab, out=t)
+            np.add(ab, t, out=t)
+            np.multiply(SCALAR, t, out=t)
+            np.add(e, t, out=e)
+            ok = ok and bool(np.allclose(a2[lo:hi], e))
         return float(a2.sum()), ok
 
     def run(self, attached_view, region_bytes: int, slowdown: float = 1.0):
@@ -77,13 +116,7 @@ class StreamBenchmark:
             raise ValueError(f"bad region size {region_bytes}")
         t0 = self.engine.now
         # copy-in: shared -> private array (real, over the capped prefix)
-        take_pages = min(
-            attached_view.npages, max(1, REAL_ELEMENTS_CAP * 8 // 4096)
-        )
-        prefix = np.concatenate(
-            [attached_view.page_view(i) for i in range(take_pages)]
-        )
-        source = prefix.view(np.float64)[:REAL_ELEMENTS_CAP]
+        source = self._copy_in(attached_view)
         copy_ns = self.costs.memcpy_ns(region_bytes)
         yield from noise_aware_compute(self.kernel, self.proc, copy_ns, slowdown)
         copy_done = self.engine.now

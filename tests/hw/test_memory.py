@@ -218,6 +218,36 @@ def test_region_write_spanning_pages():
     assert region.read(PAGE_4K - 5, PAGE_4K + 5) == data[: PAGE_4K + 5]
 
 
+def test_region_read_page_edges():
+    _mem, region = make_region(nframes=3)
+    data = bytes(range(256)) * (3 * PAGE_4K // 256)
+    region.write(0, data)
+    # ends exactly on the last byte of a page
+    assert region.read(PAGE_4K - 8, 8) == data[PAGE_4K - 8 : PAGE_4K]
+    assert region.read(PAGE_4K, PAGE_4K) == data[PAGE_4K : 2 * PAGE_4K]
+    assert region.read(3 * PAGE_4K - 1, 1) == data[-1:]
+    # straddles a boundary by one byte either side
+    assert region.read(PAGE_4K - 1, 2) == data[PAGE_4K - 1 : PAGE_4K + 1]
+    assert region.read(2 * PAGE_4K - 4, 8) == data[2 * PAGE_4K - 4 : 2 * PAGE_4K + 4]
+    assert region.read(PAGE_4K, 0) == b""
+    assert region.read(region.nbytes, 0) == b""
+    # a returned read is a snapshot, not a view of the frame
+    snap = region.read(16, 8)
+    region.write(16, b"\0" * 8)
+    assert snap == data[16:24]
+
+
+def test_region_read_through_read_only_mapping():
+    mem, region = make_region(nframes=2)
+    region.write(PAGE_4K - 3, b"abcdef")
+    ro = mem.map_region(region.pfns, writable=False)
+    assert ro.read(PAGE_4K - 3, 3) == b"abc"
+    assert ro.read(PAGE_4K - 3, 6) == b"abcdef"
+    assert ro.read(PAGE_4K, 3) == b"def"
+    with pytest.raises(PermissionError):
+        ro.write(0, b"x")
+
+
 def test_region_bounds_checked():
     _mem, region = make_region(nframes=1)
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Unit tests for the analytic noise model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw.costs import CostModel
 from repro.kernels.noise import (
@@ -107,3 +109,93 @@ def test_attach_noise_profile_covers_all_cores(rig):
     assert tags == {"hw-baseline", "smi"}
     tags = {s.tag for s in linux.noise_sources[linux.cores[0].core_id]}
     assert "daemon" in tags and "tick" in tags
+
+
+# -- the occurrence index against a brute-force reference ----------------------
+
+
+def reference_events(src, t0, t1):
+    """Per-call enumeration: derive every occurrence that can start in the
+    window and keep those that do (the definition the index must match)."""
+    if t1 <= t0:
+        return []
+    k_lo = max(0, (t0 - src.phase_ns) // src.period_ns - 1)
+    k_hi = (t1 - src.phase_ns) // src.period_ns + 1
+    out = []
+    for k in range(k_lo, k_hi + 1):
+        start, dur = src._occurrence(k)
+        if t0 <= start < t1:
+            out.append((start, dur))
+    return out
+
+
+def reference_stolen(src, t0, t1):
+    total = 0
+    for start, dur in reference_events(src, max(0, t0 - src.lookback_ns()), t1):
+        lo, hi = max(start, t0), min(start + dur, t1)
+        if hi > lo:
+            total += hi - lo
+    return total
+
+
+@st.composite
+def noise_sources(draw):
+    period = draw(st.integers(1, 2_000_000))
+    return PeriodicNoise(
+        period,
+        draw(st.integers(0, 3 * period)),
+        tag="t",
+        seed=draw(st.integers(0, 2**32)),
+        jitter_frac=draw(st.floats(0.0, 0.5)),
+        exp_duration=draw(st.booleans()),
+        phase_ns=draw(st.integers(-3 * period, 3 * period)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(noise_sources(), st.data())
+def test_index_matches_reference_enumeration(src, data):
+    period = src.period_ns
+    t = data.draw(st.integers(0, 50 * period))
+    moves = data.draw(st.lists(st.tuples(
+        st.sampled_from(["forward", "overlap", "backward", "jump"]),
+        st.integers(0, 40 * period),
+        st.integers(-2 * period, 60 * period),
+    ), min_size=1, max_size=25))
+    for move, step, width in moves:
+        if move == "forward":
+            t += step
+        elif move == "overlap":
+            t += step // 4
+        elif move == "backward":
+            t -= step
+        else:
+            t += 10_000 * period + step
+        t1 = t + width
+        assert src.events_in(t, t1) == reference_events(src, t, t1)
+        assert src.stolen_in(t, t1) == reference_stolen(src, t, t1)
+
+
+def test_index_matches_reference_on_the_linux_profile():
+    ms = 1_000_000
+    for src in linux_noise_profile(CostModel(), seed=9):
+        for t0 in range(0, 3000 * ms, 37 * ms):
+            for t1 in (t0 + ms // 3, t0 + 235 * ms, t0 + 900 * ms):
+                assert src.stolen_in(t0, t1) == reference_stolen(src, t0, t1)
+                assert src.events_in(t0, t1) == reference_events(src, t0, t1)
+
+
+def test_index_retention_stays_bounded():
+    ms = 1_000_000
+    tick, daemon, _smi = linux_noise_profile(CostModel(), seed=2)
+    assert tick.period_ns == ms
+    counts = {"tick": [], "daemon": []}
+    for t0 in range(0, 100_000 * ms, ms):
+        for tag, src in (("tick", tick), ("daemon", daemon)):
+            src.stolen_in(t0, t0 + 235 * ms)
+            counts[tag].append(len(src._index.starts))
+    # 100k tick occurrences were swept; a few hundred stay live per window.
+    assert max(counts["tick"]) <= 4096
+    half = len(counts["tick"]) // 2
+    assert max(counts["tick"][half:]) <= max(counts["tick"][:half])
+    assert max(counts["daemon"]) <= 4096

@@ -12,7 +12,7 @@ from repro.obs.audit import (
     env_enabled,
     env_interval_ns,
 )
-from repro.sim import Engine
+from repro.sim import Engine, fastpath
 from repro.xemem import XpmemApi
 
 
@@ -126,31 +126,35 @@ def test_region_populated_drift_detected():
 
 
 def test_stale_walk_cache_pfns_detected():
-    rig = build_cokernel_system(with_audit=True)
-    kp, _ = _attach_scenario(rig)
-    table = kp.aspace.table
-    heap = rig.cokernels[0].kernel.heap_region(kp)
-    table.translate_range(heap.start, 4)  # populate the walk cache
-    entries = table.walk_cache_entries()
-    assert entries, "scenario should have cached a walk"
-    key = (entries[0][0], entries[0][1])
-    gen, pfns = table._walk_cache[key]
-    table._walk_cache[key] = (gen, pfns + 1)  # corrupt the cached pfns
-    violations = rig.auditor.auditor.check()
-    assert any(v.invariant == "walkcache-coherence" for v in violations)
+    # the walk cache under test exists only with its fast path on
+    with fastpath.configured(walk_cache=True):
+        rig = build_cokernel_system(with_audit=True)
+        kp, _ = _attach_scenario(rig)
+        table = kp.aspace.table
+        heap = rig.cokernels[0].kernel.heap_region(kp)
+        table.translate_range(heap.start, 4)  # populate the walk cache
+        entries = table.walk_cache_entries()
+        assert entries, "scenario should have cached a walk"
+        key = (entries[0][0], entries[0][1])
+        gen, pfns = table._walk_cache[key]
+        table._walk_cache[key] = (gen, pfns + 1)  # corrupt the cached pfns
+        violations = rig.auditor.auditor.check()
+        assert any(v.invariant == "walkcache-coherence" for v in violations)
 
 
 def test_future_generation_cache_entry_detected():
-    rig = build_cokernel_system(with_audit=True)
-    kp, _ = _attach_scenario(rig)
-    table = kp.aspace.table
-    heap = rig.cokernels[0].kernel.heap_region(kp)
-    table.translate_range(heap.start, 4)
-    key = next(iter(table._walk_cache))
-    gen, pfns = table._walk_cache[key]
-    table._walk_cache[key] = (table.generation + 5, pfns)
-    violations = rig.auditor.auditor.check()
-    assert any("future generation" in v.detail for v in violations)
+    # the walk cache under test exists only with its fast path on
+    with fastpath.configured(walk_cache=True):
+        rig = build_cokernel_system(with_audit=True)
+        kp, _ = _attach_scenario(rig)
+        table = kp.aspace.table
+        heap = rig.cokernels[0].kernel.heap_region(kp)
+        table.translate_range(heap.start, 4)
+        key = next(iter(table._walk_cache))
+        gen, pfns = table._walk_cache[key]
+        table._walk_cache[key] = (table.generation + 5, pfns)
+        violations = rig.auditor.auditor.check()
+        assert any("future generation" in v.detail for v in violations)
 
 
 def test_unbalanced_channel_detected_at_quiescence():

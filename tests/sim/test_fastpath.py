@@ -1,5 +1,6 @@
 """Fast-path flag plumbing and engine run-boundary semantics."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,27 +11,48 @@ from repro.sim import Engine, fastpath
 from repro.sim.fastpath import FASTPATH
 
 
+def _repo_root():
+    return os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+
+
 def test_flags_default_on():
-    assert FASTPATH.engine_slots
-    assert FASTPATH.ipi_batching
-    assert FASTPATH.walk_cache
-    assert FASTPATH.range_vectorize
-    assert FASTPATH.fault_vectorize
+    # A fresh interpreter without REPRO_FASTPATH, whatever this one has.
+    code = (
+        "import json; from repro.sim.fastpath import FASTPATH; "
+        "print(json.dumps(FASTPATH.as_dict()))"
+    )
+    env = dict(os.environ, PYTHONPATH="src")
+    env.pop("REPRO_FASTPATH", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, cwd=_repo_root(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {
+        "engine_slots": True,
+        "ipi_batching": True,
+        "walk_cache": True,
+        "range_vectorize": True,
+        "fault_vectorize": True,
+    }
 
 
 def test_disabled_context_restores():
-    with fastpath.disabled():
-        assert not FASTPATH.engine_slots
-        assert not FASTPATH.walk_cache
-    assert FASTPATH.engine_slots
-    assert FASTPATH.walk_cache
+    with fastpath.enabled():  # the pre-context state, set explicitly
+        with fastpath.disabled():
+            assert not FASTPATH.engine_slots
+            assert not FASTPATH.walk_cache
+        assert FASTPATH.engine_slots
+        assert FASTPATH.walk_cache
 
 
 def test_configured_single_flag():
-    with fastpath.configured(walk_cache=False):
-        assert not FASTPATH.walk_cache
-        assert FASTPATH.engine_slots  # others untouched
-    assert FASTPATH.walk_cache
+    before = FASTPATH.as_dict()
+    with fastpath.configured(walk_cache=not before["walk_cache"]):
+        assert FASTPATH.walk_cache is not before["walk_cache"]
+        # others untouched
+        assert FASTPATH.as_dict() == {**before, "walk_cache": FASTPATH.walk_cache}
+    assert FASTPATH.as_dict() == before
 
 
 def test_configured_rejects_unknown_flag():
@@ -40,10 +62,12 @@ def test_configured_rejects_unknown_flag():
 
 
 def test_configured_restores_on_exception():
+    before = FASTPATH.ipi_batching
     with pytest.raises(RuntimeError):
-        with fastpath.configured(ipi_batching=False):
+        with fastpath.configured(ipi_batching=not before):
+            assert FASTPATH.ipi_batching is not before
             raise RuntimeError("boom")
-    assert FASTPATH.ipi_batching
+    assert FASTPATH.ipi_batching is before
 
 
 def test_env_override_disables_all():
@@ -54,7 +78,7 @@ def test_env_override_disables_all():
     env = dict(os.environ, REPRO_FASTPATH="0", PYTHONPATH="src")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        env=env, cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        env=env, cwd=_repo_root(),
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "0"

@@ -40,6 +40,7 @@ def test_all_configs_complete_and_verify(name):
     res = rig["workload"].run()
     assert res.sim_time_s > 0
     assert res.data_marks_verified     # real shared-memory handshake worked
+    assert res.stream_verified         # STREAM's triad identity held
     assert len(res.stream_times_s) == 3
     assert len(res.attach_times_s) == 1  # one_time model
 
@@ -73,6 +74,26 @@ def test_linux_local_one_time_faults_once():
     )
     res = rig["workload"].run()
     assert res.analytics_faults == 16 * MB // 4096
+
+
+def test_stream_verdict_reaches_the_result():
+    rig = build_insitu_rig("kitten_linux", small_config(), seed=5)
+    workload = rig["workload"]
+    sim_p, ana_p = workload.start()
+    kitten = workload.sim_enclave.kernel
+    (sim_proc,) = [p for p in kitten.processes.values() if p.name == "hpccg-sim"]
+    heap = kitten.heap_region(sim_proc)
+    data = kitten.mem.map_region(
+        sim_proc.aspace.table.translate_range(heap.start, 1)
+    )
+    # All-ones float64 words are NaNs; the simulation's stamp only ever
+    # rewrites the first 8 bytes.
+    data.write(8, b"\xff" * 64)
+    workload.engine.run_until_complete(sim_p)
+    workload.engine.run_until_complete(ana_p)
+    res = workload.collect(sim_p)
+    assert res.data_marks_verified
+    assert res.stream_verified is False
 
 
 def test_numerics_verification_flag():
