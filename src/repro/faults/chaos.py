@@ -145,7 +145,7 @@ def run_chaos(seed: int = 0, plan_spec: Optional[str] = None,
     ``flightrec_dir`` set, a run that crashed an enclave (or ended with
     unreclaimed crash state) freezes the box into an incident bundle
     there — byte-identical for the same (seed, plan) in every
-    fastpath/fidelity mode.
+    fidelity mode.
     """
     spec = DEFAULT_PLAN_SPEC if plan_spec is None else plan_spec
     plan = FaultPlan.parse(spec, seed=seed)

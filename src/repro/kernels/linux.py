@@ -37,7 +37,6 @@ from repro.kernels.pagetable import (
     PTE_USER,
     PTE_WRITABLE,
 )
-from repro.sim.fastpath import FASTPATH
 from repro.kernels.process import OSProcess
 from repro.sim.resources import Mutex
 
@@ -171,7 +170,7 @@ class LinuxKernel(KernelBase):
         read-only page exactly as the per-page loop would, so batching is
         only taken when every present page in the range is writable.
         """
-        if not FASTPATH.fault_vectorize or npages <= 0:
+        if npages <= 0:
             return False
         if region is None or region.kind is not RegionKind.LAZY:
             return False

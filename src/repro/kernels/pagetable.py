@@ -40,7 +40,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.fastpath import FASTPATH
 from repro.sim.fidelity import FIDELITY
 
 PAGE_SHIFT = 12
@@ -210,143 +209,72 @@ class _RadixStore:
         npages = len(pfns)
         # Validate against the *existing* structure first — creating leaf
         # tables before the collision check would leak empty leaves (and
-        # claim the PML4 slot) on the error path.
-        if FASTPATH.range_vectorize:
-            # A PTE is nonzero iff present (mapping always sets PRESENT),
-            # so plain truthiness replaces the `& PTE_PRESENT` mask pass,
-            # and the packed values are computed once for the whole range.
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
-                if leaf is None:
-                    continue
-                window = leaf[i1 : i1 + take]
-                if window.any():
-                    first = int(np.flatnonzero(window)[0])
-                    raise ValueError(
-                        f"vaddr {vaddr + (off + first) * PAGE_SIZE:#x} already mapped"
-                    )
-            packed = (pfns << PAGE_SHIFT) | flags
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=True):
-                leaf[i1 : i1 + take] = packed[off : off + take]
-        else:
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
-                if leaf is None:
-                    continue
-                window = leaf[i1 : i1 + take]
-                if (window & PTE_PRESENT).any():
-                    first = int(np.flatnonzero(window & PTE_PRESENT)[0])
-                    raise ValueError(
-                        f"vaddr {vaddr + (off + first) * PAGE_SIZE:#x} already mapped"
-                    )
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=True):
-                leaf[i1 : i1 + take] = (pfns[off : off + take] << PAGE_SHIFT) | flags
+        # claim the PML4 slot) on the error path. A PTE is nonzero iff
+        # present (mapping always sets PRESENT), so plain truthiness is
+        # the presence test here and in every range operation below.
+        for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
+            if leaf is None:
+                continue
+            window = leaf[i1 : i1 + take]
+            if window.any():
+                first = int(np.flatnonzero(window)[0])
+                raise ValueError(
+                    f"vaddr {vaddr + (off + first) * PAGE_SIZE:#x} already mapped"
+                )
+        packed = (pfns << PAGE_SHIFT) | flags
+        for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=True):
+            leaf[i1 : i1 + take] = packed[off : off + take]
+
+    def _check_present(self, spans, vaddr: int) -> None:
+        """Fault at the first hole of ``spans`` (missing leaf or zero PTE)."""
+        for leaf, i1, take, off in spans:
+            if leaf is None:
+                raise PageFault(vaddr + off * PAGE_SIZE)
+            window = leaf[i1 : i1 + take]
+            if not window.all():
+                hole = int(np.flatnonzero(window == 0)[0])
+                raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
 
     def unmap_range(self, vaddr: int, npages: int, out: np.ndarray) -> None:
         spans = list(self._iter_leaf_spans(vaddr, npages, create=False))
-        if FASTPATH.range_vectorize:
-            for leaf, i1, take, off in spans:  # validate first: all-or-nothing
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                window = leaf[i1 : i1 + take]
-                if not window.all():
-                    hole = int(np.flatnonzero(window == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-            for leaf, i1, take, off in spans:
-                window = leaf[i1 : i1 + take]
-                out[off : off + take] = window
-                window[:] = 0
-            out >>= PAGE_SHIFT
-        else:
-            for leaf, i1, take, off in spans:  # validate first: all-or-nothing
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                present = leaf[i1 : i1 + take] & PTE_PRESENT
-                if not present.all():
-                    hole = int(np.flatnonzero(present == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-            for leaf, i1, take, off in spans:
-                out[off : off + take] = leaf[i1 : i1 + take] >> PAGE_SHIFT
-                leaf[i1 : i1 + take] = 0
-
-    def walk_into(self, vaddr: int, npages: int, out: np.ndarray) -> None:
-        if FASTPATH.range_vectorize:
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                window = leaf[i1 : i1 + take]
-                if not window.all():
-                    hole = int(np.flatnonzero(window == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-                out[off : off + take] = window
-            out >>= PAGE_SHIFT
-            return
-        for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
-            if leaf is None:
-                raise PageFault(vaddr + off * PAGE_SIZE)
-            window = leaf[i1 : i1 + take]
-            if not (window & PTE_PRESENT).all():
-                hole = int(np.flatnonzero((window & PTE_PRESENT) == 0)[0])
-                raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-            out[off : off + take] = window >> PAGE_SHIFT
-
-    def range_flags_all(self, vaddr: int, npages: int, mask: int) -> bool:
-        if FASTPATH.range_vectorize:
-            # One combined per-leaf check: a window passing the
-            # present+mask test needs no hole scan, so the common case
-            # never materializes the full range. A hole still faults
-            # even after a leaf already answered False — leaves scan in
-            # range order, so the fault address matches the slow twin.
-            want = np.int64(mask | PTE_PRESENT)
-            ok = True
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                window = leaf[i1 : i1 + take]
-                if ((window & want) == want).all():
-                    continue
-                if not window.all():
-                    hole = int(np.flatnonzero(window == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-                ok = False
-            return ok
-        spans = list(self._iter_leaf_spans(vaddr, npages, create=False))
-        for leaf, i1, take, off in spans:  # validate first: fault before answering
-            if leaf is None:
-                raise PageFault(vaddr + off * PAGE_SIZE)
-            present = leaf[i1 : i1 + take] & PTE_PRESENT
-            if not present.all():
-                hole = int(np.flatnonzero(present == 0)[0])
-                raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
+        self._check_present(spans, vaddr)  # validate first: all-or-nothing
         for leaf, i1, take, off in spans:
             window = leaf[i1 : i1 + take]
-            if ((window & mask) == mask).sum() != take:
-                return False
-        return True
+            out[off : off + take] = window
+            window[:] = 0
+        out >>= PAGE_SHIFT
+
+    def walk_into(self, vaddr: int, npages: int, out: np.ndarray) -> None:
+        spans = list(self._iter_leaf_spans(vaddr, npages, create=False))
+        self._check_present(spans, vaddr)
+        for leaf, i1, take, off in spans:
+            out[off : off + take] = leaf[i1 : i1 + take]
+        out >>= PAGE_SHIFT
+
+    def range_flags_all(self, vaddr: int, npages: int, mask: int) -> bool:
+        # One combined per-leaf check: a window passing the present+mask
+        # test needs no hole scan, so the common case never materializes
+        # the full range. A hole still faults even after a leaf already
+        # answered False — leaves scan in range order, so the fault is
+        # the range's first hole.
+        want = np.int64(mask | PTE_PRESENT)
+        ok = True
+        for span in self._iter_leaf_spans(vaddr, npages, create=False):
+            leaf, i1, take, _ = span
+            if leaf is not None and ((leaf[i1 : i1 + take] & want) == want).all():
+                continue
+            self._check_present((span,), vaddr)
+            ok = False
+        return ok
 
     def set_flags_range(self, vaddr: int, npages: int, set_mask: int, clear_mask: int) -> None:
         spans = list(self._iter_leaf_spans(vaddr, npages, create=False))
-        if FASTPATH.range_vectorize:
-            for leaf, i1, take, off in spans:  # validate first: all-or-nothing
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                window = leaf[i1 : i1 + take]
-                if not window.all():
-                    hole = int(np.flatnonzero(window == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-            clear = np.int64(~clear_mask)
-            for leaf, i1, take, off in spans:
-                window = leaf[i1 : i1 + take]
-                window |= set_mask
-                window &= clear
-        else:
-            for leaf, i1, take, off in spans:  # validate first: all-or-nothing
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                present = leaf[i1 : i1 + take] & PTE_PRESENT
-                if not present.all():
-                    hole = int(np.flatnonzero(present == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-            for leaf, i1, take, off in spans:
-                leaf[i1 : i1 + take] = (leaf[i1 : i1 + take] | set_mask) & ~clear_mask
+        self._check_present(spans, vaddr)  # validate first: all-or-nothing
+        clear = np.int64(~clear_mask)
+        for leaf, i1, take, off in spans:
+            window = leaf[i1 : i1 + take]
+            window |= set_mask
+            window &= clear
 
     def present_mask_into(self, vaddr: int, npages: int, out: np.ndarray) -> None:
         for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
@@ -896,18 +824,18 @@ class PageTable:
         obs.get().counter("pagetable.translate.pages").inc(npages)
         if npages == 0:
             return np.empty(0, dtype=np.int64)
-        if FASTPATH.walk_cache and not self._range_touches_shared(vaddr, npages):
-            key = (vaddr, npages)
-            hit = self._walk_cache.get(key)
-            if hit is not None and hit[0] == self.generation:
-                obs.get().counter("fastpath.walkcache.hits").inc()
-                return hit[1].copy()
-            out = self._walk(vaddr, npages)
-            if hit is None and len(self._walk_cache) >= WALK_CACHE_SLOTS:
-                self._walk_cache.pop(next(iter(self._walk_cache)))
-            self._walk_cache[key] = (self.generation, out.copy())
-            return out
-        return self._walk(vaddr, npages)
+        if self._range_touches_shared(vaddr, npages):
+            return self._walk(vaddr, npages)
+        key = (vaddr, npages)
+        hit = self._walk_cache.get(key)
+        if hit is not None and hit[0] == self.generation:
+            obs.get().counter("fastpath.walkcache.hits").inc()
+            return hit[1].copy()
+        out = self._walk(vaddr, npages)
+        if hit is None and len(self._walk_cache) >= WALK_CACHE_SLOTS:
+            self._walk_cache.pop(next(iter(self._walk_cache)))
+        self._walk_cache[key] = (self.generation, out.copy())
+        return out
 
     def _walk(self, vaddr: int, npages: int) -> np.ndarray:
         """The uncached walk behind :meth:`translate_range`."""

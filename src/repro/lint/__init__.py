@@ -3,7 +3,7 @@
 A single-pass AST linter enforcing the project's determinism contract
 as machine-checked rules (REP001-REP008): no wallclock or OS entropy in
 simulation code, no order-unstable iteration, no float equality
-branching, fast-path gates with slow twins, engine/event-queue
+branching, fidelity gates with detailed twins, engine/event-queue
 discipline, accounted exception handling, no mutable defaults.
 
 Library entry points::

@@ -8,10 +8,10 @@ divergence the merge cannot reconcile). These rules inventory exactly
 that state and every function-code write to it, so the sharding
 refactor starts from a machine-verified clean slate.
 
-The two construction-time switchboards
-(:data:`repro.lint.sources.STATE_BOUNDARY`) are the sanctioned
-exception: they are read-only after configuration and are re-applied
-per worker process by design.
+The construction-time fidelity switchboard
+(:data:`repro.lint.sources.STATE_BOUNDARY`) is the sanctioned
+exception: it is read-only after configuration and is re-applied per
+worker process by design.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.lint.visitor import ProjectRule
 
 
 def _iter_writes(project):
-    """Every recorded state write outside the sanctioned switchboards,
+    """Every recorded state write outside the sanctioned switchboard,
     classified against the project: yields ``(file index, write, kind,
     key, class name)`` with ``kind`` ``None`` for unresolved targets."""
     for path in sorted(project.files):

@@ -82,7 +82,7 @@ class EntropyTaintRule(_TaintRule):
 
 
 class EnvReadRule(_TaintRule):
-    """Environment read outside the fastpath/fidelity switchboards."""
+    """Environment read outside the fidelity switchboard."""
 
     code = "REP103"
     name = "env-read"
@@ -91,7 +91,7 @@ class EnvReadRule(_TaintRule):
     noun = "an environment read"
     remedy = ("behaviour must come from explicit arguments so runs "
               "replay from their config; env switches belong in "
-              "repro.sim.fastpath / repro.sim.fidelity")
+              "repro.sim.fidelity")
 
 
 class AddressDependenceRule(_TaintRule):

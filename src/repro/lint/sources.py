@@ -9,7 +9,7 @@ what counts as a source.
 
 Each taint category also names its **sanctioned boundaries** — modules
 whose job is to absorb the nondeterminism (the opt-in wallclock
-profiler, the env-reading switchboards). Functions in a sanctioned
+profiler, the env-reading switchboard). Functions in a sanctioned
 module neither seed nor propagate that category's taint.
 """
 
@@ -111,10 +111,11 @@ ENV_READ_CALLS = frozenset({"os.getenv"})
 ENV_MAPPING = frozenset({"os.environ", "os.environb"})
 ENV_MAPPING_READERS = frozenset({"get", "items", "keys", "values", "copy"})
 
-#: The construction-time switchboards are the sanctioned place for env
-#: configuration (docs/COSTMODEL.md); everything else derives behaviour
-#: from explicit arguments so runs are replayable from their config.
-ENV_BOUNDARY = ("repro/sim/fastpath.py", "repro/sim/fidelity.py")
+#: The construction-time fidelity switchboard is the sanctioned place for
+#: env configuration (docs/COSTMODEL.md); everything else derives
+#: behaviour from explicit arguments so runs are replayable from their
+#: config.
+ENV_BOUNDARY = ("repro/sim/fidelity.py",)
 
 # ---------------------------------------------------------------------------
 # Address/hash-seed dependence (REP104, direct + transitive)
@@ -132,11 +133,11 @@ ADDRESS_BOUNDARY = ()
 # Shared-state audit (REP110-REP113)
 # ---------------------------------------------------------------------------
 
-#: Modules allowed to own and mutate process-wide state: the two
-#: construction-time switchboards. Everything else must key state
-#: per-``Engine`` so node engines can run in parallel host processes
-#: (ROADMAP item 1) without cross-engine aliasing.
-STATE_BOUNDARY = ("repro/sim/fastpath.py", "repro/sim/fidelity.py")
+#: Modules allowed to own and mutate process-wide state: the
+#: construction-time fidelity switchboard. Everything else must key
+#: state per-``Engine`` so node engines can run in parallel host
+#: processes (ROADMAP item 1) without cross-engine aliasing.
+STATE_BOUNDARY = ("repro/sim/fidelity.py",)
 
 # ---------------------------------------------------------------------------
 # Category registry for the taint pass

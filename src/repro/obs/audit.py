@@ -5,9 +5,9 @@ explicit :class:`Auditor`/:class:`AuditHook`), it re-derives global
 invariants from live kernel/module state at configurable virtual-time
 intervals and at quiescence, raising a structured :class:`AuditViolation`
 (with the spans that were in flight attached) the moment simulated state
-drifts. Because the same checks run under both fast and slow paths, the
-auditor doubles as a standing differential check on the fastpath
-contracts.
+drifts. Because the same checks run under both fidelity stores, the
+auditor doubles as a standing differential check on the fidelity
+contract.
 
 The invariant catalogue (see ``docs/OBSERVABILITY.md``):
 

@@ -10,8 +10,8 @@ regression report reads like a Table-2 row diff: "the +1.2 ms came from
 ``kernel.pagetable.walk``".
 
 Because both sides are virtual-time captures, the diff is exact, not
-statistical: identical twins (fast vs slow path, fast vs detailed
-fidelity) diff to all-zero rows — any non-zero delta between modes is a
+statistical: identical twins (fast vs detailed fidelity) diff to
+all-zero rows — any non-zero delta between modes is a
 contract violation, which is what makes this the right tool under the
 repo's differential-testing methodology.
 

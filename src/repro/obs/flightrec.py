@@ -27,13 +27,13 @@ file                      contents
 ``config.json``           run arguments + ``REPRO_*`` environment fingerprint
 ========================  ====================================================
 
-Twin safety: the metric families that legitimately differ between the
-fast/slow and fast/detailed simulation paths (``engine.*``,
-``fastpath.*``) are excluded from ``metrics.json``, and the two mode
-switches (``REPRO_FASTPATH``, ``REPRO_FIDELITY``) are excluded from the
-environment fingerprint — the same (seed, plan) therefore produces a
-byte-identical bundle in **every** mode, which is exactly what makes a
-bundle comparable across the differential contract.
+Twin safety: the metric families that describe the simulator rather
+than the simulation (``engine.*`` engine internals, ``fastpath.*``
+hot-path hit counts) are excluded from ``metrics.json``, and the mode
+switches are excluded from the environment fingerprint — the same
+(seed, plan) therefore produces a byte-identical bundle in **every**
+fidelity mode, which is exactly what makes a bundle comparable across
+the differential contract.
 
 ``python -m repro diagnose <bundle>`` renders a bundle as a causal
 timeline around the failure point (:func:`render_diagnosis`).
@@ -50,13 +50,15 @@ from typing import Any, Dict, List, Optional
 #: Incident-bundle schema version (bump on incompatible layout changes).
 SCHEMA_VERSION = 1
 
-#: Metric families excluded from bundles: the two that legitimately
-#: differ between the fast and slow simulation paths (the same exclusion
-#: serve-report's exporters apply).
+#: Metric families excluded from bundles: the two that describe the
+#: simulator rather than the simulation (the same exclusion serve-report's
+#: exporters apply).
 TWIN_EXCLUDE = ("engine.", "fastpath.")
 
 #: Mode switches excluded from the environment fingerprint so a bundle
-#: stays byte-identical across the fast/slow/detailed twins.
+#: stays byte-identical across the fidelity twins. ``REPRO_FASTPATH``
+#: is a retired switch that nothing reads any more; it stays listed so
+#: bundles keep their bytes whatever an old environment still sets.
 TWIN_ENV = ("REPRO_FASTPATH", "REPRO_FIDELITY")
 
 #: Bundle file names, in manifest order.

@@ -16,10 +16,11 @@ every exporter:
   when an objective was violated (the earliest breach is the trigger).
 
 Everything runs on the virtual clock: two invocations with the same
-arguments produce byte-identical files, and toggling the simulation
-fast paths (``REPRO_FASTPATH=0``) changes nothing — the export excludes
-the two metric families (``engine.*``, ``fastpath.*``) that legitimately
-differ between paths; the differential contract covers the rest.
+arguments produce byte-identical files, and switching the storage
+fidelity (``REPRO_FIDELITY=detailed``) changes nothing. The export
+excludes the two metric families that describe the simulator rather
+than the simulation (``engine.*`` engine internals, ``fastpath.*``
+hot-path hit counts); the differential contract covers the rest.
 """
 
 from __future__ import annotations

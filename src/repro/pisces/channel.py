@@ -25,7 +25,6 @@ from __future__ import annotations
 from repro import obs
 from repro.enclave.enclave import Channel, Enclave, KernelMessage
 from repro.hw.interrupts import IpiVector
-from repro.sim.fastpath import FASTPATH
 
 
 class PiscesChannel(Channel):
@@ -97,9 +96,10 @@ class PiscesChannel(Channel):
             else 0
         )
         chunks = costs.pfn_list_chunks(npfns) if npfns else 1
-        # Marshalling time is closed-form (identical under fast and slow
-        # IPI paths); exporting it as a span attribute lets the analysis
-        # layer split the transfer span into channel-copy vs. IPI time.
+        # Marshalling time is closed-form (identical under the burst and
+        # per-round IPI paths); exporting it as a span attribute lets the
+        # analysis layer split the transfer span into channel-copy vs. IPI
+        # time.
         marshal_ns = npfns * (costs.channel_per_pfn_ns + penalty)
         self.transfers_started += 1
         o = obs.get()
@@ -117,8 +117,7 @@ class PiscesChannel(Channel):
             core = self.node.core(vec.core_id)
             faults = engine.faults
             if (
-                FASTPATH.ipi_batching
-                and chunks > 1
+                chunks > 1
                 and core.resource.in_use == 0
                 and core.resource.queue_depth == 0
                 and intc.vectors_on_core(vec.core_id) == 1

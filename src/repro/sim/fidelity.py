@@ -2,10 +2,11 @@
 
 Virtuoso-style simulators split every subsystem into a *fast functional*
 model and a *detailed* one and let runs pick per-component fidelity.
-This module is that switch for the repro core. It complements
-:mod:`repro.sim.fastpath`, which toggles *algorithmic* twins (caching,
-batching, vectorization) read at call time; fidelity instead selects a
-*storage layout* twin, bound once at object construction:
+This module is that switch for the repro core, and the simulator's only
+one: it selects a *storage layout* twin, bound once at object
+construction. (The algorithmic hot paths — slot scheduling, the walk
+cache, vectorized range operations, batched IPI rounds and demand
+faults — have no switch; see docs/COSTMODEL.md § Fast paths.)
 
 * ``fast`` — structure-of-arrays backing stores: the page table keeps
   one flat PFN column plus one flag-bitmask column (``uint16``) in an
@@ -15,22 +16,18 @@ batching, vectorization) read at call time; fidelity instead selects a
   dicts with per-leaf 512-entry packed-PTE arrays, exactly the walk a
   real MMU performs.
 
-The two modes are **semantics-preserving** twins under the same
-contract REP005 enforces for fast paths (docs/COSTMODEL.md): identical
-virtual end times, identical counters, byte-identical trace exports.
-``tests/sim/test_fidelity_diff.py`` proves it differentially, and
-``repro lint`` REP005 applies the same gate hygiene to ``FIDELITY``
-reads as to ``FASTPATH`` reads.
+The two modes are **semantics-preserving** twins (docs/COSTMODEL.md):
+identical virtual end times, identical counters, byte-identical trace
+exports. ``tests/sim/test_fidelity_diff.py`` proves it differentially,
+and ``repro lint`` REP005 enforces gate hygiene on ``FIDELITY`` reads.
 
-Unlike ``FASTPATH``, flipping ``FIDELITY`` mid-process does *not*
-retroactively convert live objects — the mode is read in constructors.
-Scope a whole scenario inside :func:`configured` /:func:`detailed` to
-compare modes.
+Flipping ``FIDELITY`` mid-process does *not* retroactively convert live
+objects — the mode is read in constructors. Scope a whole scenario
+inside :func:`configured` /:func:`detailed` to compare modes.
 
 ``REPRO_FIDELITY=fast|detailed`` selects the starting mode (default
 ``fast``); anything else fails loudly at import.
 """
-
 from __future__ import annotations
 
 import contextlib

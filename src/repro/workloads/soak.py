@@ -19,7 +19,7 @@ traffic at a serving stack.
 Determinism: arrivals, think-free flows, fault injection, and every
 retry-after hint draw from seeded streams consumed in virtual-clock
 order — the report and the emitted JSON are byte-identical across
-reruns at the same seed and across the FASTPATH/FIDELITY twins.
+reruns at the same seed and across the fidelity twins.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ Determinism: all randomness (retry-after hints, client backoff jitter)
 draws from per-module ``random.Random`` streams seeded from
 ``OverloadConfig.seed`` and the enclave name, consumed in virtual-clock
 event order — runs are byte-identical for the same seed, across reruns
-and across the FASTPATH/FIDELITY twins. See docs/OVERLOAD.md.
+and across the fidelity twins. See docs/OVERLOAD.md.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 1. Seeded reproducibility: same plan + same seed → byte-identical trace
    and identical end time, whatever the plan injects.
 2. Zero-perturbation: arming an *empty* plan is byte-identical to not
-   arming anything, on both the fast and slow engine paths.
+   arming anything, on both the fast and the detailed page-table store.
 """
 
 import io
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.faults import CRASH, FaultEvent, FaultPlan
-from repro.sim import fastpath
+from repro.sim import fidelity
 from repro.xemem import XememError, XememTimeout
 
 from tests.faults.conftest import build_rig, table1_cycle
@@ -44,11 +44,11 @@ def test_same_seed_same_bytes():
 
 
 def test_armed_empty_plan_is_byte_identical_to_disarmed():
-    for ctx in (fastpath.enabled, fastpath.disabled):
-        with ctx():
+    for mode in ("fast", "detailed"):
+        with fidelity.configured(mode):
             baseline = _traced_cycle(None)
             armed_empty = _traced_cycle(FaultPlan())
-            assert armed_empty == baseline, f"perturbed under {ctx.__name__}"
+            assert armed_empty == baseline, f"perturbed under {mode}"
 
 
 def test_fault_run_chaos_reports_reproduce():

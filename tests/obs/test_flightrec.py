@@ -3,10 +3,10 @@
 The black box's contract has three legs, all tested here:
 
 1. **Determinism** — same seed + same fault plan ⇒ byte-identical
-   bundles across reruns *and* across the simulation twins
-   (``REPRO_FASTPATH=0``, ``REPRO_FIDELITY=detailed``), because the
-   bundle excludes the two metric families and env keys that
-   legitimately differ between modes.
+   bundles across reruns *and* across the fidelity twins
+   (``REPRO_FIDELITY``), because the bundle excludes the
+   metric families and env keys that legitimately differ between
+   modes.
 2. **Diagnosis** — ``python -m repro diagnose`` renders a bundle as a
    causal timeline naming the trigger and its faulting virtual-time
    window, and fails loudly on a tampered bundle (manifest hashes).
@@ -23,6 +23,7 @@ import sys
 from repro import obs
 from repro.faults.chaos import run_chaos
 from repro.obs import flightrec
+from repro.sim.fidelity import FIDELITY
 
 REPO_ROOT = str(pathlib.Path(__file__).resolve().parents[2])
 
@@ -66,8 +67,8 @@ def test_bundle_byte_identical_across_reruns(tmp_path):
 
 
 def test_bundle_byte_identical_across_twins(tmp_path):
-    """Same (seed, plan) under ``REPRO_FASTPATH=0`` and
-    ``REPRO_FIDELITY=detailed`` freezes the exact same bundle bytes."""
+    """Same (seed, plan) on the other fidelity store freezes the exact
+    same bundle bytes."""
     script = (
         "import sys\n"
         "from repro.faults.chaos import run_chaos\n"
@@ -75,19 +76,18 @@ def test_bundle_byte_identical_across_twins(tmp_path):
         "          flightrec_dir=sys.argv[1])\n"
     )
     _, reference = _emit(tmp_path, "ref")
-    for name, extra_env in (("slow", {"REPRO_FASTPATH": "0"}),
-                            ("detailed", {"REPRO_FIDELITY": "detailed"})):
-        out = str(tmp_path / name)
-        env = dict(os.environ, PYTHONPATH="src", **extra_env)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, out],
-            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-            timeout=240,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert _bundle_bytes(out) == _bundle_bytes(reference), (
-            f"bundle bytes diverged under {extra_env}"
-        )
+    other = "fast" if FIDELITY.detailed else "detailed"
+    out = str(tmp_path / other)
+    env = dict(os.environ, PYTHONPATH="src", REPRO_FIDELITY=other)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, out],
+        capture_output=True, text=True, env=env, cwd=REPO_ROOT,
+        timeout=240,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _bundle_bytes(out) == _bundle_bytes(reference), (
+        f"bundle bytes diverged under REPRO_FIDELITY={other}"
+    )
 
 
 def test_diagnose_renders_causal_timeline(tmp_path, capsys):

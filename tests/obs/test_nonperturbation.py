@@ -2,8 +2,8 @@
 
 The same scenario runs with observability fully off and fully on (trace
 + metrics + engine hooks + auditor); the virtual end time and every
-simulation-side statistic must be identical, under both the fast and the
-slow engine/kernel paths. This is the standing guarantee that lets the
+simulation-side statistic must be identical, on both the fast and the
+detailed page-table store. This is the standing guarantee that lets the
 paper's figures be generated with tracing enabled.
 """
 
@@ -12,7 +12,7 @@ import pytest
 from repro import obs
 from repro.bench.configs import build_cokernel_system
 from repro.hw.costs import PAGE_4K
-from repro.sim import fastpath
+from repro.sim import fidelity
 from repro.xemem import XpmemApi
 
 
@@ -59,21 +59,20 @@ def _run_observed():
         return _scenario(with_audit=True)
 
 
-@pytest.mark.parametrize("paths", ["fast", "slow"])
-def test_observability_is_invisible_to_the_simulation(paths):
-    ctx = fastpath.enabled() if paths == "fast" else fastpath.disabled()
-    with ctx:
+@pytest.mark.parametrize("mode", ["fast", "detailed"])
+def test_observability_is_invisible_to_the_simulation(mode):
+    with fidelity.configured(mode):
         dark = _run_dark()
         observed = _run_observed()
     assert observed == dark
 
 
-def test_fast_and_slow_agree_while_audited():
-    """The auditor doubles as a fastpath differential check: identical
-    end state with every fast path on vs off, audits enabled."""
+def test_fidelity_twins_agree_while_audited():
+    """The auditor doubles as a fidelity differential check: identical
+    end state on the fast and the detailed store, audits enabled."""
     with obs.observing(trace=True):
-        with fastpath.disabled():
-            slow = _scenario(with_audit=True)
-        with fastpath.enabled():
+        with fidelity.detailed():
+            detailed = _scenario(with_audit=True)
+        with fidelity.fast():
             fast = _scenario(with_audit=True)
-    assert fast == slow
+    assert fast == detailed

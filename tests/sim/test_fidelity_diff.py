@@ -2,12 +2,13 @@
 
 The columnar (fast) and radix (detailed) page-table stores are twins
 under the REP005 contract (docs/COSTMODEL.md § Fidelity split): the
-scenarios from the fastpath differential suite run on each store, under
-*both* ``REPRO_FASTPATH`` settings, and must agree on the virtual end
-time, on every metrics counter, and on the byte-exact JSONL trace
-export. A store-level op-mix additionally pins down the per-operation
-observables — translations, masks, collision messages, and exact-hole
-fault addresses.
+scenarios from the hot-path differential suite run on each store and
+must agree on the virtual end time, on every metrics counter, and on
+the byte-exact JSONL trace export. A store-level op-mix additionally
+pins down the per-operation observables — translations, masks,
+collision messages, and exact-hole fault addresses — and checks after
+every operation the invariant both stores' range operations rely on: a
+PTE is nonzero iff it is PRESENT.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.kernels.pagetable import (
     _ColumnarStore,
     _RadixStore,
 )
-from repro.sim import fastpath, fidelity
+from repro.sim import fidelity
 
 from tests.sim.test_fastpath_diff import (
     _contended_scenario,
@@ -39,16 +40,14 @@ RW = PTE_PRESENT | PTE_WRITABLE | PTE_USER
 
 
 def _assert_fidelity_identical(scenario):
-    """detailed vs fast stores, under both fastpath settings."""
-    for fp_ctx in (fastpath.disabled, fastpath.enabled):
-        with fp_ctx():
-            with fidelity.detailed():
-                ref = _observed(scenario)
-            with fidelity.fast():
-                fast = _observed(scenario)
-        assert fast[0] == ref[0], "virtual end time diverged"
-        assert fast[1] == ref[1], "metrics counters diverged"
-        assert fast[2] == ref[2], "trace export bytes diverged"
+    """detailed vs fast stores."""
+    with fidelity.detailed():
+        ref = _observed(scenario)
+    with fidelity.fast():
+        fast = _observed(scenario)
+    assert fast[0] == ref[0], "virtual end time diverged"
+    assert fast[1] == ref[1], "metrics counters diverged"
+    assert fast[2] == ref[2], "trace export bytes diverged"
 
 
 def test_cross_enclave_identical():
@@ -66,10 +65,49 @@ def test_contended_identical():
 # -- store-level observables --------------------------------------------------
 
 
+def _pte_words(pt):
+    """Every PTE slot the store holds, as the word its range operations
+    test for truthiness: packed PTEs (radix) or the flag column
+    (columnar). Stale PFNs under a zero flag word are not PTEs."""
+    store = pt._store
+    if isinstance(store, _RadixStore):
+        leaves = [leaf for pdpt in store.pml4.values()
+                  for pd in pdpt.values() for leaf in pd.values()]
+        return np.concatenate(leaves) if leaves else np.empty(0, np.int64)
+    return store._flags[: store._nrows << 9].astype(np.int64)
+
+
+def _assert_nonzero_iff_present(pt):
+    words = _pte_words(pt)
+    assert ((words != 0) == ((words & PTE_PRESENT) != 0)).all(), \
+        "a PTE is nonzero without PRESENT, or PRESENT and zero"
+
+
+class _Checked:
+    """Proxy that asserts the nonzero-iff-PRESENT invariant after every
+    method call, including calls that raise."""
+
+    def __init__(self, pt):
+        self._pt = pt
+
+    def __getattr__(self, name):
+        attr = getattr(self._pt, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            try:
+                return attr(*args, **kwargs)
+            finally:
+                _assert_nonzero_iff_present(self._pt)
+
+        return call
+
+
 def _exercise_table():
     """One PageTable op-mix; returns every observable output."""
     out = []
-    pt = PageTable()
+    pt = _Checked(PageTable())
     base = 2 * PML4_SLOT_SPAN
     npages = 1600  # crosses four leaf tables
     base2 = base + npages * PAGE_SIZE
@@ -117,14 +155,11 @@ def _exercise_table():
     return out
 
 
-@pytest.mark.parametrize("fp", ["off", "on"])
-def test_store_observables_identical(fp):
-    ctx = fastpath.disabled if fp == "off" else fastpath.enabled
-    with ctx():
-        with fidelity.detailed():
-            ref = _exercise_table()
-        with fidelity.fast():
-            fast = _exercise_table()
+def test_store_observables_identical():
+    with fidelity.detailed():
+        ref = _exercise_table()
+    with fidelity.fast():
+        fast = _exercise_table()
     assert fast == ref
 
 

@@ -3,7 +3,7 @@
 from repro import obs
 from repro.obs import analysis
 from repro.obs.export import folded_stacks, prometheus_text
-from repro.sim import fastpath
+from repro.sim import fidelity
 from repro.workloads.sessions import SessionConfig, run_sessions
 
 
@@ -63,11 +63,12 @@ def test_observed_run_exports_are_byte_identical_across_repeats():
     assert _observed_exports(small_cfg()) == _observed_exports(small_cfg())
 
 
-def test_fast_and_slow_paths_export_identical_bytes():
-    fast = _observed_exports(small_cfg())
-    with fastpath.disabled():
-        slow = _observed_exports(small_cfg())
-    assert fast == slow
+def test_fidelity_twins_export_identical_bytes():
+    with fidelity.fast():
+        fast = _observed_exports(small_cfg())
+    with fidelity.detailed():
+        detailed = _observed_exports(small_cfg())
+    assert fast == detailed
 
 
 def test_observed_run_produces_journeys_for_every_op():

@@ -1,7 +1,7 @@
 """The soak harness's three contracts.
 
 1. Determinism: same config → byte-identical BENCH_serving.json across
-   reruns and across the fastpath/fidelity twins.
+   reruns and across the fidelity twins.
 2. Graceful degradation: past saturation the protected ramp holds
    goodput near its peak while the unprotected baseline collapses —
    in the same artifact, same seed, same fault plan, same arrivals.
@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.sim import fastpath
+from repro.sim import fidelity
 from repro.workloads.soak import (
     SoakConfig, bench_doc, main, run_soak, run_soak_pair,
 )
@@ -69,10 +69,10 @@ def test_same_seed_same_bytes(fast_pair):
     assert doc_bytes(seed=1) != first  # the seed is actually consumed
 
 
-def test_fastpath_twins_are_byte_identical(fast_pair):
-    with fastpath.disabled():
-        slow = doc_bytes()
-    assert slow == json.dumps(bench_doc(*fast_pair), sort_keys=True)
+def test_fidelity_twins_are_byte_identical(fast_pair):
+    with fidelity.detailed():
+        detailed = doc_bytes()
+    assert detailed == json.dumps(bench_doc(*fast_pair), sort_keys=True)
 
 
 def test_graceful_degradation_past_saturation(fast_pair):
