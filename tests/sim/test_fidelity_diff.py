@@ -104,10 +104,11 @@ class _Checked:
         return call
 
 
-def _exercise_table():
-    """One PageTable op-mix; returns every observable output."""
+def _exercise_table(checked):
+    """One PageTable op-mix; returns every observable output. With
+    ``checked`` the invariant is asserted after every operation."""
     out = []
-    pt = _Checked(PageTable())
+    pt = _Checked(PageTable()) if checked else PageTable()
     base = 2 * PML4_SLOT_SPAN
     npages = 1600  # crosses four leaf tables
     base2 = base + npages * PAGE_SIZE
@@ -155,11 +156,14 @@ def _exercise_table():
     return out
 
 
-def test_store_observables_identical():
+@pytest.mark.parametrize("invariant_check", [False, True], ids=["off", "on"])
+def test_store_observables_identical(invariant_check):
+    """The stores agree with the per-operation invariant check off (the
+    bare op-mix) and on (asserted after every call)."""
     with fidelity.detailed():
-        ref = _exercise_table()
+        ref = _exercise_table(invariant_check)
     with fidelity.fast():
-        fast = _exercise_table()
+        fast = _exercise_table(invariant_check)
     assert fast == ref
 
 
