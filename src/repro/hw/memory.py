@@ -406,6 +406,15 @@ class PhysicalMemory:
             frame = self._frames[pfn] = np.zeros(PAGE_4K, dtype=np.uint8)
         return frame
 
+    def frame_views(self, pfns: Iterable[int]) -> List[np.ndarray]:
+        """:meth:`frame_view` of every PFN in ``pfns``, in order (PFNs
+        already known to be in range)."""
+        frames = self._frames
+        return [
+            frame if (frame := frames.get(pfn)) is not None else self.frame_view(pfn)
+            for pfn in pfns
+        ]
+
     def map_region(self, pfns: np.ndarray, writable: bool = True) -> "MappedRegion":
         """A MappedRegion viewing the given ordered frame list."""
         return MappedRegion(self, np.asarray(pfns, dtype=np.int64), writable=writable)
@@ -487,6 +496,19 @@ class MappedRegion:
             frame = frame.view()
             frame.flags.writeable = False
         return frame
+
+    def copy_pages_into(self, n: int, out: np.ndarray) -> None:
+        """Copy pages ``0..n-1`` into the ``(n, 4096)`` uint8 array ``out``.
+
+        No :meth:`page_view` call per page: the frames are looked up in
+        one pass and copied row by row. Frames never touched materialize
+        (zero-filled) exactly as they would under :meth:`page_view`, so
+        ``resident_frames`` is the same.
+        """
+        if not 0 <= n <= self.npages:
+            raise ValueError(f"{n} pages outside region of {self.npages} pages")
+        for i, frame in enumerate(self.mem.frame_views(self.pfns[:n].tolist())):
+            out[i] = frame
 
     def as_array(self) -> np.ndarray:
         """Gather the whole region into one contiguous array (a copy)."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, islice
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.hw.costs import CostModel
 
@@ -91,12 +91,14 @@ class _OccurrenceIndex:
         self.dmax = 0
 
     def extend(self, k_hi: int,
-               occurrence: Callable[[int], Tuple[int, int]]) -> None:
-        """Derive occurrences up to and including ``k_hi``."""
+               batch: Callable[[int, int], Tuple[Sequence[int], Sequence[int]]]
+               ) -> None:
+        """Derive occurrences up to and including ``k_hi``;
+        ``batch(first, last)`` returns their starts and durations."""
         first = self.base + len(self.starts)
         if k_hi < first:
             return
-        starts, durs = zip(*map(occurrence, range(first, k_hi + 1)))
+        starts, durs = batch(first, k_hi)
         self.starts.extend(starts)
         self.durs.extend(durs)
         self.cum.extend(islice(accumulate(durs, initial=self.cum[-1]), 1, None))
@@ -137,6 +139,11 @@ class PeriodicNoise(NoiseSource):
         self.exp_duration = exp_duration
         self.phase_ns = phase_ns
         self._index = _OccurrenceIndex(0)
+        #: Jitter-free constant-length sources on an integer grid (the
+        #: Linux tick) derive occurrences in bulk; the others one by one.
+        fixed = not (jitter_frac or exp_duration) and all(
+            isinstance(v, int) for v in (period_ns, phase_ns))
+        self._batch = self._batch_fixed if fixed else self._batch_each
 
     def _occurrence(self, k: int) -> Tuple[int, int]:
         start = self.phase_ns + k * self.period_ns
@@ -151,6 +158,20 @@ class PeriodicNoise(NoiseSource):
             dur = self.duration_ns
         return max(start, 0), dur
 
+    def _batch_each(self, first: int, last: int) -> Tuple[Sequence[int], Sequence[int]]:
+        """Occurrences ``first..last``, one :meth:`_occurrence` each."""
+        return tuple(zip(*map(self._occurrence, range(first, last + 1))))
+
+    def _batch_fixed(self, first: int, last: int) -> Tuple[Sequence[int], Sequence[int]]:
+        """Occurrences ``first..last`` of a source without jitter or
+        random durations: :meth:`_occurrence` in closed form."""
+        period = self.period_ns
+        starts = range(self.phase_ns + first * period,
+                       self.phase_ns + (last + 1) * period, period)
+        if starts[0] < 0:
+            starts = [max(start, 0) for start in starts]
+        return starts, [self.duration_ns] * len(starts)
+
     def _locate(self, t0: int, t1: int) -> Tuple[_OccurrenceIndex, int, int]:
         """``(index, i, j)``: entries ``i..j-1`` of ``index`` are the
         occurrences starting in [t0, t1) among ``k_lo..k_hi``, the
@@ -164,7 +185,7 @@ class PeriodicNoise(NoiseSource):
             index.reset(k_lo)
         else:
             index.trim(k_lo)
-        index.extend(k_hi, self._occurrence)
+        index.extend(k_hi, self._batch)
         lo, hi = k_lo - index.base, k_hi - index.base + 1
         i = bisect_left(index.starts, t0, lo, hi)
         return index, i, bisect_left(index.starts, t1, i, hi)

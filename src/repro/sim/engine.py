@@ -216,6 +216,11 @@ class Engine:
         #: keys its parent-attribution stacks on it so spans opened by
         #: interleaving processes never adopt each other as parents.
         self.current_process = None
+        #: ``until_ns`` of the active :meth:`run` call (None outside one).
+        self._until: Optional[int] = None
+        #: The latest horizon :meth:`quiet_until` granted; no event may be
+        #: queued below it when the loop is next entered.
+        self._granted = 0
 
     # -- scheduling ---------------------------------------------------------
 
@@ -280,11 +285,51 @@ class Engine:
 
     # -- running ------------------------------------------------------------
 
+    def quiet_until(self) -> Optional[int]:
+        """Earliest virtual time anything but the running process can run.
+
+        That is the head of the queue, capped by the ``until_ns`` of the
+        active :meth:`run` (a driver may act between slices), or None
+        when neither exists. Until then nothing else can run, so nothing
+        else can change simulated state: a process may skip work that
+        only re-reads such state before the returned time.
+
+        The horizon is a promise about the driver as well. Scheduling an
+        event below it from outside the loop (between :meth:`step` calls)
+        makes the next :meth:`step` or :meth:`run` raise
+        :class:`SimError`; writing simulated memory there is not
+        detectable and must not happen while a caller may be relying on
+        the horizon.
+        """
+        queue = self._queue
+        until = self._until
+        if queue:
+            when = queue[0][0]
+            if until is not None and until < when:
+                when = until
+        else:
+            when = until
+        if when is not None and when > self._granted:
+            self._granted = when
+        return when
+
+    def _check_horizon(self) -> None:
+        """Raise if an event was queued below a granted quiet horizon."""
+        if self._queue and self._queue[0][0] < self._granted:
+            raise SimError(
+                f"event queued at {self._queue[0][0]} ns, below the quiet "
+                f"horizon {self._granted} ns granted by quiet_until(): "
+                "schedule nothing between steps while a process relies on it"
+            )
+
     def step(self) -> bool:
         """Run the single next event. Returns False if the queue is empty."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return False
-        when, _seq, callback, args = heapq.heappop(self._queue)
+        if queue[0][0] < self._granted:
+            self._check_horizon()
+        when, _seq, callback, args = heapq.heappop(queue)
         self.now = when
         if self.obs is None:
             callback(*args)
@@ -299,6 +344,16 @@ class Engine:
         at ``until_ns`` and any not-yet-due events stay queued. Events
         scheduled *exactly at* ``until_ns`` do run.
         """
+        self._check_horizon()
+        self._until = until_ns
+        try:
+            self._drain(until_ns)
+        finally:
+            self._until = None
+        if until_ns is not None and self.now < until_ns:
+            self.now = until_ns
+
+    def _drain(self, until_ns: Optional[int]) -> None:
         queue = self._queue
         if self.obs is None:
             # Batched drain: identical semantics to the step() loop below,
@@ -325,8 +380,6 @@ class Engine:
                     self.now = until_ns
                     return
                 self.step()
-        if until_ns is not None and self.now < until_ns:
-            self.now = until_ns
 
     def run_until_complete(self, proc) -> Any:
         """Step the loop until ``proc`` finishes, then return its result.

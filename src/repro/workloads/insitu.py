@@ -102,11 +102,28 @@ def poll_u64_at_least(engine, view, offset: int, target: int):
     Exponential backoff keeps the event count bounded; the paper's
     workloads poll continuously, and at the capped 1 ms granularity the
     detection-latency difference is invisible at the 150 s scale.
+
+    Ticks of the backoff schedule that fall strictly before
+    :meth:`~repro.sim.engine.Engine.quiet_until` are skipped: nothing
+    else runs before then, so nothing can write the word, and such a
+    tick would only have pushed the next one. The poller sleeps straight
+    to the first tick at or after the horizon, with the backoff interval
+    it would have had there. The kept tick is queued at the same place
+    in the global push order as it would have been after the misses, so
+    every read, resume time and same-instant order is unchanged.
     """
     interval = POLL_START_NS
     while read_u64(view, offset) < target:
-        yield engine.sleep(interval)
+        wake = engine.now + interval
         interval = min(interval * 2, POLL_CAP_NS)
+        quiet = engine.quiet_until()
+        if quiet is not None:
+            while wake < quiet and interval < POLL_CAP_NS:
+                wake += interval
+                interval = min(interval * 2, POLL_CAP_NS)
+            if wake < quiet:  # at the cap: whole 1 ms steps from here
+                wake += -(-(quiet - wake) // POLL_CAP_NS) * POLL_CAP_NS
+        yield engine.sleep(wake - engine.now)
 
 
 @dataclass

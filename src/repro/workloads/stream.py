@@ -9,14 +9,23 @@ pass's 10 array-sized accesses at STREAM bandwidth.
 
 The real numerics allocate nothing per pass: each :class:`StreamBenchmark`
 owns a private copy-in array and a full-length triad result (so the
-checksum keeps numpy's pairwise summation order), and runs the kernels
-and the verification in cache-sized blocks with ``out=`` ufuncs. The
-arithmetic is elementwise, so every element, the checksum and the
-verdict are bit-identical to the whole-array formulas.
+checksum keeps numpy's pairwise summation order), gathers the copy-in
+with one call into the region, and runs the kernels in cache-sized
+blocks with ``out=`` ufuncs. The arithmetic is elementwise, so every
+element and the checksum are bit-identical to the whole-array formulas.
+
+The verdict is a NaN scan of the triad result. The check it replaces
+rebuilt the expected triad ``q*a + q*(a + q*a)`` with the same float
+operations in the same order as the kernels, so the expected array was
+bit-identical to the result, and ``allclose`` of an array with itself
+fails exactly where an element is NaN (equal infinities compare close).
+A NaN element makes the pairwise sum NaN, so only a NaN checksum needs
+the scan at all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +40,7 @@ STREAM_TRAFFIC_MULTIPLE = 10
 #: region, the actual numerics run on at most this many float64s.
 REAL_ELEMENTS_CAP = 1 << 18
 
-#: Elements per block of the real kernels (128 KiB of float64: the four
+#: Elements per block of the real kernels (128 KiB of float64: the three
 #: block arrays stay cache-resident).
 BLOCK_ELEMENTS = 1 << 14
 
@@ -65,17 +74,16 @@ class StreamBenchmark:
         #: Private copy of the shared prefix, and the triad result.
         self._a = np.empty(REAL_ELEMENTS_CAP, dtype=np.float64)
         self._a2 = np.empty(REAL_ELEMENTS_CAP, dtype=np.float64)
-        #: Per-block work arrays: b, c, a temporary, and the expected triad.
-        self._blocks = np.empty((4, BLOCK_ELEMENTS), dtype=np.float64)
+        #: Per-block work arrays: b, c and a temporary.
+        self._blocks = np.empty((3, BLOCK_ELEMENTS), dtype=np.float64)
 
     def _copy_in(self, attached_view) -> np.ndarray:
         """Gather the capped prefix of the shared region into ``_a``."""
         take_pages = min(
             attached_view.npages, max(1, REAL_ELEMENTS_CAP * 8 // 4096)
         )
-        raw = self._a.view(np.uint8)
-        for i in range(take_pages):
-            raw[i * 4096:(i + 1) * 4096] = attached_view.page_view(i)
+        pages = self._a.view(np.uint8).reshape(-1, 4096)
+        attached_view.copy_pages_into(take_pages, pages[:take_pages])
         return self._a[:take_pages * 4096 // 8]
 
     def _real_kernels(self, a: np.ndarray) -> tuple:
@@ -85,31 +93,26 @@ class StreamBenchmark:
         if n == 0:
             raise ValueError("empty STREAM source")
         a2 = self._a2[:n]
-        ok = True
         for lo in range(0, n, BLOCK_ELEMENTS):
             hi = min(lo + BLOCK_ELEMENTS, n)
-            b, c, t, e = self._blocks[:, :hi - lo]
+            b, c, t = self._blocks[:, :hi - lo]
             ab = a[lo:hi]
             np.copyto(c, ab)                    # COPY:  c = a
             np.multiply(SCALAR, c, out=b)       # SCALE: b = q*c
             np.add(ab, b, out=c)                # ADD:   c = a + b
             np.multiply(SCALAR, c, out=t)       # TRIAD: a = b + q*c
             np.add(b, t, out=a2[lo:hi])
-            # expected = q*a + q*(a + q*a)
-            np.multiply(SCALAR, ab, out=e)
-            np.multiply(SCALAR, ab, out=t)
-            np.add(ab, t, out=t)
-            np.multiply(SCALAR, t, out=t)
-            np.add(e, t, out=e)
-            ok = ok and bool(np.allclose(a2[lo:hi], e))
-        return float(a2.sum()), ok
+        checksum = float(a2.sum())
+        # the triad identity fails exactly on NaN elements (module doc)
+        ok = not math.isnan(checksum) or not np.isnan(a2).any()
+        return checksum, bool(ok)
 
     def run(self, attached_view, region_bytes: int, slowdown: float = 1.0):
         """Generator: copy the shared region private, STREAM over it.
 
-        ``attached_view`` is any object with ``as_array()`` (an
-        :class:`~repro.xemem.shmem.AttachedRegion` or a MappedRegion);
-        only a capped prefix is actually materialized for the real math.
+        ``attached_view`` is a :class:`~repro.hw.memory.MappedRegion`
+        (an attachment's data view); only a capped prefix is actually
+        copied for the real math.
         Returns a :class:`StreamResult`.
         """
         if region_bytes <= 0:

@@ -1,7 +1,7 @@
 """Unit tests for the analytic noise model."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.costs import CostModel
@@ -152,16 +152,37 @@ def noise_sources(draw):
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(noise_sources(), st.data())
-def test_index_matches_reference_enumeration(src, data):
+@st.composite
+def query_walks(draw):
+    """A source, a start time and a walk of query windows over it."""
+    src = draw(noise_sources())
     period = src.period_ns
-    t = data.draw(st.integers(0, 50 * period))
-    moves = data.draw(st.lists(st.tuples(
+    t = draw(st.integers(0, 50 * period))
+    moves = draw(st.lists(st.tuples(
         st.sampled_from(["forward", "overlap", "backward", "jump"]),
         st.integers(0, 40 * period),
         st.integers(-2 * period, 60 * period),
     ), min_size=1, max_size=25))
+    return src, t, moves
+
+
+#: Jitter-free constant-length sources take the closed-form batch; a
+#: negative phase puts the first occurrences before 0 (the clamp).
+BULK_WALK = [("forward", 0, 7_000), ("backward", 0, 3_000),
+             ("jump", 1_000, 2_500), ("backward", 11_000_000, 40_000),
+             ("overlap", 4_000, 500)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(query_walks())
+@example((PeriodicNoise(1_000, 300, tag="t", phase_ns=-2_500), 0, BULK_WALK))
+@example((PeriodicNoise(1_000, 3_000, tag="t", phase_ns=-999), 0, BULK_WALK))
+@example((PeriodicNoise(700, 0, tag="t", phase_ns=-2_100), 0, BULK_WALK))
+@example((PeriodicNoise(1_000_000, 3_000, tag="tick"), 5,
+          [("forward", 0, 235_000_000), ("jump", 7, 1_000_000)]))
+def test_index_matches_reference_enumeration(walk):
+    src, t, moves = walk
+    period = src.period_ns
     for move, step, width in moves:
         if move == "forward":
             t += step
